@@ -442,16 +442,31 @@ def find_decomposition_witness(
     the shifted parameters (n-2, k, d) for variant "d1", or (n, k-1, d) for
     variant "d3".
 
-    Scans all subsets of size n - 2 + 2k avoiding the edge's endpoints, in
-    lexicographic order, and returns the first whose induced subgraph holds
-    the required matching while the rest of the graph splits into exactly d
-    factor-critical odd components plus the bare edge.  Returns None when no
-    such separator exists.
+    Returns the lexicographically first subset of size n - 2 + 2k avoiding
+    the edge's endpoints whose induced subgraph holds the required matching
+    while the rest of the graph splits into exactly d factor-critical odd
+    components plus the bare edge, or None when no such separator exists.
+    The answer is a lookup into the graph's separator layer for that size
+    (see :func:`_separator_layer`), built on first use and cached.
     """
+    edge, variant, need, size = _decomposition_query(g, params, edge, variant, cap)
+    uv_mask = (1 << edge[0]) | (1 << edge[1])
+    for subset, smask, nu_s in _separator_layer(g, size).get((params.d, uv_mask), ()):
+        if nu_s >= need:
+            return _decomposition_witness(g, subset, smask, edge, variant, need)
+    return None
+
+
+def _decomposition_query(g: Graph, params: NkdParams, edge: Edge, variant: str,
+                         cap: int | None) -> tuple[Edge, str, int, int]:
+    """Validate a separator query; returns (edge, variant, need, size) with
+    the edge's endpoints in increasing order, the variant lower-cased,
+    ``need`` the matching size the separator must hold and ``size`` its
+    order."""
     variant = variant.lower()
     if variant not in ("d1", "d3"):
         raise ParameterError(f"variant must be 'd1' or 'd3', got {variant!r}")
-    n, k, d = params.as_tuple()
+    n, k = params.n, params.k
     if variant == "d1" and n < 2:
         raise ParameterError(f"the d1 search needs n >= 2, got n={n}")
     if variant == "d3" and k < 1:
@@ -461,16 +476,81 @@ def find_decomposition_witness(
     u, v = edge
     if not g.has_edge(u, v):
         raise ParameterError(f"({u}, {v}) is not an edge of the graph")
-    u, v = min(u, v), max(u, v)
     need = k if variant == "d1" else k - 1
-    size = n - 2 + 2 * k
-    others = [w for w in range(g.order) if w not in (u, v)]
-    if size > len(others):
-        return None
+    return (min(u, v), max(u, v)), variant, need, n - 2 + 2 * k
+
+
+def _decomposition_witness(g: Graph, subset: tuple[int, ...], smask: int,
+                           edge: Edge, variant: str, need: int) -> DecompositionWitness:
+    uv_mask = (1 << edge[0]) | (1 << edge[1])
+    rest = _engine.full_mask(g) & ~smask
+    comps = _engine.component_split(_engine.adjacency_masks(g), rest)
+    odd_comps = tuple(tuple(_engine.bits_of(c)) for c in comps if c != uv_mask)
+    inner = next(_matchings_in_mask(g.edges, smask, need))[0]
+    return DecompositionWitness(subset, edge, variant, odd_comps, inner)
+
+
+def _separator_layer(g: Graph, size: int) -> dict[tuple[int, int], list]:
+    """Every separator S of ``size`` vertices such that G - S is exactly one
+    bare edge plus factor-critical odd components.
+
+    Keyed by (number of odd components, edge mask); each list holds
+    ``(subset, smask, nu[S])`` in lexicographic subset order, so the first
+    entry meeting a matching requirement is the one a subset scan finds.
+    Built once per (graph, size) with one flood fill per component.
+    """
+
+    def build():
+        nu = _engine.nu_table(g)
+        adj = _engine.adjacency_masks(g)
+        full = _engine.full_mask(g)
+        layer: dict[tuple[int, int], list] = {}
+        for subset in combinations(range(g.order), size):
+            smask = _engine.mask_of(subset)
+            rest = full & ~smask
+            edge = odd = 0
+            while rest:
+                comp = _engine.spread(adj, rest & -rest, rest)
+                rest ^= comp
+                bits = comp.bit_count()
+                if bits & 1:
+                    if not _engine.factor_critical_mask(g, comp):
+                        break
+                    odd += 1
+                elif edge or bits != 2:
+                    break
+                else:
+                    edge = comp
+            else:
+                if edge:
+                    layer.setdefault((odd, edge), []).append((subset, smask, nu[smask]))
+        return layer
+
+    return _engine.cached(g, ("separator_layer", size), build)
+
+
+def _scan_decomposition_witness(
+    g: Graph,
+    params: NkdParams,
+    edge: Edge,
+    variant: str,
+    cap: int | None = None,
+) -> DecompositionWitness | None:
+    """Subset-scan oracle for :func:`find_decomposition_witness`: the same
+    answer, searched afresh per query without the separator layer.
+
+    Scans all subsets of size n - 2 + 2k avoiding the edge's endpoints, in
+    lexicographic order, and returns the first whose induced subgraph holds
+    the required matching while the rest of the graph splits into exactly d
+    factor-critical odd components plus the bare edge.
+    """
+    edge, variant, need, size = _decomposition_query(g, params, edge, variant, cap)
+    d = params.d
+    others = [w for w in range(g.order) if w not in edge]
     nu = _engine.nu_table(g)
     adj = _engine.adjacency_masks(g)
     full = _engine.full_mask(g)
-    uv_mask = (1 << u) | (1 << v)
+    uv_mask = (1 << edge[0]) | (1 << edge[1])
     for subset in combinations(others, size):
         smask = _engine.mask_of(subset)
         if nu[smask] < need:
@@ -483,11 +563,7 @@ def find_decomposition_witness(
             for c in comps
             if c != uv_mask
         ):
-            inner = next(_matchings_in_mask(g.edges, smask, need))[0]
-            odd_comps = tuple(
-                tuple(_engine.bits_of(c)) for c in comps if c != uv_mask
-            )
-            return DecompositionWitness(subset, (u, v), variant, odd_comps, inner)
+            return _decomposition_witness(g, subset, smask, edge, variant, need)
     return None
 
 

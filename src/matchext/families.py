@@ -31,11 +31,6 @@ def family_blowup_bipartite(d: int, m: int) -> Graph:
     return Graph(3 + (d + 2) * q, edges)
 
 
-def blowup_hub_vertices() -> tuple[int, int, int]:
-    """The independent hub triple of the blow-up family."""
-    return (0, 1, 2)
-
-
 def family_cliques_plus_edge(d: int, m: int) -> Graph:
     """Disjoint union of ``d`` cliques of size ``2m + 1`` and a single edge;
     the bare-edge endpoints are the last two vertex ids."""
@@ -60,10 +55,6 @@ def family_cliques_plus_edge_cone(d: int, m: int) -> Graph:
     """Cone of :func:`family_cliques_plus_edge`; the apex is the last id and
     the distinguished edge keeps its endpoints."""
     return family_cliques_plus_edge(d, m).cone()
-
-
-def cone_apex(g: Graph) -> int:
-    return g.order - 1
 
 
 def family_gadget_chain(copies: int) -> Graph:

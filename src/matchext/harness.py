@@ -11,11 +11,13 @@ from scratch on freshly built graphs before being reported.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 from .decision import (
     NkdParams,
     WITNESS_SEARCH_CAP,
+    _scan_decomposition_witness,
     find_decomposition_witness,
     is_nkd_by_characterization,
     nkd_holds,
@@ -340,12 +342,14 @@ def check_D2(g: Graph, p: NkdParams, cap: int | None = None,
 
 def _recheck_iff(g: Graph, p: NkdParams, edge: Edge, variant: str,
                  target: NkdParams, cap) -> tuple[bool, bool]:
-    """Recompute the two sides of a deletion iff on freshly built graphs."""
+    """Recompute the two sides of a deletion iff on freshly built graphs; the
+    separator side uses the subset scan, not the separator layer, so a wrong
+    layer cannot confirm its own answer."""
     fresh = Graph(g.order, g.edges)
     fails = not is_nkd_by_characterization(
         fresh.delete_edge(*edge), target, cap=cap
     ).holds
-    witness = find_decomposition_witness(fresh, p, edge, variant, cap=cap)
+    witness = _scan_decomposition_witness(fresh, p, edge, variant, cap=cap)
     return fails, witness is not None
 
 
@@ -526,8 +530,15 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
     '>>graph6<<' header are ignored.  Decode failures become per-line
     diagnostics and processing continues.  Graphs larger than ``max_order``
     are counted but not processed.  ``jobs > 1`` fans graphs out to worker
-    processes; reports are aggregated in input order either way.
+    processes; reports are aggregated in input order either way.  ``jobs``
+    must lie in 1..os.cpu_count().
     """
+    cpus = os.cpu_count() or 1
+    if not 1 <= jobs <= cpus:
+        raise ParameterError(
+            f"jobs rule violated: jobs must be between 1 and the CPU count "
+            f"{cpus}, got {jobs}"
+        )
     unknown = [t for t in theorems if t not in CHECKERS]
     if unknown:
         raise ParameterError(f"unknown theorem ids: {', '.join(unknown)}")

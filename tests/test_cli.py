@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -159,6 +161,20 @@ def test_census_jobs_flag(capsys, tmp_path):
                        "--theorems", "A3,D1")
     assert code == 0
     assert "violations total: 0" in out
+
+
+def test_census_jobs_out_of_range(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("pool started with an out-of-range --jobs")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    stream = tmp_path / "s.g6"
+    stream.write_text(write_graph6(complete(4)) + "\n")
+    for jobs in ("0", "-1", "3"):
+        code, _, err = run(capsys, "census", "--input", str(stream), "--jobs", jobs)
+        assert code == 2
+        assert "jobs rule violated" in err
 
 
 def test_witness_found(capsys, h_file):

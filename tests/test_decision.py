@@ -2,6 +2,7 @@ import pytest
 
 from matchext import (
     BlockedExtension,
+    Graph,
     CharacterizationViolation,
     DecompositionWitness,
     NkdParams,
@@ -23,6 +24,7 @@ from matchext import (
     verify_decomposition_witness,
     verify_witness,
 )
+from matchext.decision import _scan_decomposition_witness
 from conftest import (
     complete,
     complete_bipartite,
@@ -336,6 +338,39 @@ def test_decomposition_witness_errors():
         find_decomposition_witness(
             complete(15), NkdParams(2, 1, 1), (0, 1), "d1"
         )
+
+
+def _separator_queries(g):
+    for p in valid_triples(g.order):
+        for edge in g.edges:
+            for variant, pre in (("d1", p.n >= 2), ("d3", p.k >= 1)):
+                if pre:
+                    yield p, edge, variant
+
+
+def test_separator_layer_matches_subset_scan(census7, disconnected1000, order8_sample):
+    # the layer lookup against the per-query subset scan, on a fresh graph
+    # so the scan shares no layer with the lookup
+    found = 0
+    for g in census7 + disconnected1000 + order8_sample[:40]:
+        fresh = Graph(g.order, g.edges)
+        for p, edge, variant in _separator_queries(g):
+            got = find_decomposition_witness(g, p, edge, variant)
+            want = _scan_decomposition_witness(fresh, p, edge, variant)
+            assert (got and got.to_dict()) == (want and want.to_dict()), (g, p, edge, variant)
+            found += got is not None
+    assert found > 1000
+
+
+def test_separator_layer_built_once_per_size():
+    h = family_cliques_plus_edge(2, 1)
+    assert find_decomposition_witness(h, NkdParams(2, 1, 2), (6, 7), "d1") is not None
+    keys = set(h._cache)
+    assert ("separator_layer", 2) in keys
+    # same separator size 2: a miss and a hit answer from the built layer
+    assert find_decomposition_witness(h, NkdParams(2, 1, 2), (0, 1), "d1") is None
+    assert find_decomposition_witness(h, NkdParams(0, 2, 2), (6, 7), "d3") is not None
+    assert set(h._cache) == keys
 
 
 def test_decomposition_witness_kv_lines():

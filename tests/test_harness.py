@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -253,6 +255,19 @@ def test_run_census_order_cap_refusal():
 def test_run_census_unknown_theorem():
     with pytest.raises(ParameterError, match="Z9"):
         run_census([], theorems=("A3", "Z9"))
+
+
+@pytest.mark.parametrize("jobs", [0, -1, 3])
+def test_run_census_rejects_jobs_outside_cpu_count(monkeypatch, jobs):
+    def refuse(*args, **kwargs):
+        pytest.fail("pool or decode work started before the jobs check")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(harness, "read_graph6", refuse)
+    lines = [write_graph6(g) for g in connected_census(4)]
+    with pytest.raises(ParameterError, match="jobs rule"):
+        run_census(lines, jobs=jobs)
 
 
 def test_run_census_parallel_determinism():
