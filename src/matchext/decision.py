@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Union
+from typing import Union
 
 from . import _engine
 from .errors import ParameterError, SearchCapExceeded
 from .graph import Edge, Graph
-from .matching import Matching
+from .matching import Matching, _berge_blocker, _matchings_in_mask
 
 DECIDER_CAP = 16
 WITNESS_SEARCH_CAP = 14
@@ -169,45 +169,6 @@ def _check_cap(g: Graph, cap: int | None, default: int, what: str) -> None:
         )
 
 
-def _matchings_in_mask(edges: tuple[Edge, ...], mask: int, k: int) -> Iterator[tuple[tuple[Edge, ...], int]]:
-    """Size-k matchings using only vertices of ``mask``, canonical order,
-    yielded with their covered-vertex mask."""
-    avail = [
-        (e, (1 << e[0]) | (1 << e[1]))
-        for e in edges
-        if (mask >> e[0]) & 1 and (mask >> e[1]) & 1
-    ]
-    chosen: list[Edge] = []
-
-    def rec(start: int, used: int):
-        if len(chosen) == k:
-            yield tuple(chosen), used
-            return
-        remaining = k - len(chosen)
-        for i in range(start, len(avail) - remaining + 1):
-            e, pair = avail[i]
-            if used & pair:
-                continue
-            chosen.append(e)
-            yield from rec(i + 1, used | pair)
-            chosen.pop()
-
-    return rec(0, 0)
-
-
-def _first_berge_blocker(g: Graph, mask: int, d: int) -> tuple[int, ...]:
-    """Smallest (then lexicographically least) T inside ``mask`` with more
-    than |T| + d odd components left; exists whenever the induced subgraph
-    has deficiency above d."""
-    odd = _engine.odd_table(g)
-    vertices = _engine.bits_of(mask)
-    for size in range(len(vertices) + 1):
-        for subset in combinations(vertices, size):
-            if odd[mask & ~_engine.mask_of(subset)] > size + d:
-                return subset
-    raise AssertionError("no blocking set found for a deficient subgraph")
-
-
 def is_nkd_by_definition(g: Graph, params: NkdParams, cap: int | None = None) -> Verdict:
     """Decide straight from the definition by scanning every n-subset and
     every k-matching of its complement.
@@ -229,7 +190,9 @@ def is_nkd_by_definition(g: Graph, params: NkdParams, cap: int | None = None) ->
         for medges, mmask in _matchings_in_mask(g.edges, rest, k):
             rem = rest & ~mmask
             if rem.bit_count() - 2 * nu[rem] > d:
-                blocker = _first_berge_blocker(g, rem, d)
+                blocker = _berge_blocker(g, rem, d)
+                if blocker is None:
+                    raise AssertionError("no blocking set found for a deficient subgraph")
                 return Verdict(False, BlockedExtension(subset, medges, blocker))
     return Verdict(True)
 

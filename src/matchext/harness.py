@@ -1,11 +1,18 @@
 """Executable checkers for the recursive parameter rules, run over censuses.
 
-Each checker takes a graph and a parameter triple, classifies the instance
-as applicable or inapplicable (recording the unmet precondition by name),
-and asserts the rule's conclusion on the derived graphs.  The census runner
-sweeps every valid triple of every stream graph through a selection of
-checkers and aggregates deterministic reports; a violation is re-checked
-from scratch on freshly built graphs before being reported.
+Every rule is one :class:`Rule` spec in the ``RULES`` table: its ordered
+preconditions, the host graphs it speaks about (the same graph with lowered
+or shifted parameters, each graph with one edge added or deleted, or the
+cone) with a target triple for each, and, for the two edge-deletion iff
+rules D1/D3, the separator-decomposition variant.  One runner,
+:func:`_run_rule`, classifies an instance as applicable or inapplicable
+(recording the first unmet precondition by name, then ``invalid-params``,
+then ``not-an-nkd-graph``) and checks the conclusion on every host; a
+violation is re-checked from scratch on freshly built graphs before being
+reported.  ``check_<id>`` are thin callables over that runner, and
+``CHECKERS`` maps each id to its checker.  The census runner sweeps every
+valid triple of every stream graph through a selection of checkers and
+aggregates deterministic reports.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .decision import (
     NkdParams,
@@ -24,11 +32,9 @@ from .decision import (
     validate_params,
 )
 from .errors import FormatError, ParameterError, SearchCapExceeded
-from .graph import Edge, Graph
+from .graph import Graph
 from .graphio import read_graph6, write_graph6
 from .structure import is_bipartite
-
-THEOREM_IDS = ("A3", "A4", "A5", "A6i", "A6ii", "B1", "B2", "C1", "D1", "D2", "D3")
 
 #: Census refusal threshold: the decomposition searches inside D1/D3 make
 #: anything larger impractical without an explicit override.
@@ -86,7 +92,7 @@ class TheoremReport:
         }
 
 
-# -- shared helpers ----------------------------------------------------------
+# -- rule table --------------------------------------------------------------
 
 
 def _params_ok(g: Graph, p: NkdParams) -> bool:
@@ -97,340 +103,184 @@ def _params_ok(g: Graph, p: NkdParams) -> bool:
         return False
 
 
-def _derived(g: Graph, kind: str, *args) -> Graph:
-    """Derived graphs cached on the parent so their subset tables are shared
-    across checkers and triples."""
-    key = ("derived", kind) + args
-    cache = g._cache
-    if key not in cache:
-        if kind == "del_edge":
-            cache[key] = g.delete_edge(*args)
-        elif kind == "add_edge":
-            cache[key] = g.add_edge(*args)
-        elif kind == "cone":
-            cache[key] = g.cone()
-        else:
-            raise ValueError(kind)
-    return cache[key]
+def _derived(g: Graph, method: str, *args) -> Graph:
+    """``getattr(g, method)(*args)``, cached on the parent so the derived
+    graph's subset tables are shared across rules and triples."""
+    key = ("derived", method) + args
+    if key not in g._cache:
+        g._cache[key] = getattr(g, method)(*args)
+    return g._cache[key]
 
 
-def _recheck_holds(g: Graph, p: NkdParams, cap: int | None) -> bool:
-    """Decide again from scratch: a freshly built graph carries no caches, so
-    a violation caused by a stale table would fail to reproduce."""
-    fresh = Graph(g.order, g.edges)
-    return is_nkd_by_characterization(fresh, p, cap=cap).holds
+def _lowered(g: Graph, p: NkdParams):
+    for n2 in range(p.n % 2, p.n + 1, 2):
+        for k2 in range(p.k + 1):
+            yield f"lowered params ({n2},{k2},{p.d})", g, NkdParams(n2, k2, p.d), None
 
 
-class _Ctx:
-    """Reporting context for one (graph, params) check."""
-
-    def __init__(self, g: Graph, graph_index: int, graph_ref: str | None):
-        self.g = g
-        self.index = graph_index
-        self._ref = graph_ref
-
-    @property
-    def ref(self) -> str:
-        if self._ref is None:
-            self._ref = write_graph6(self.g)
-        return self._ref
-
-    def violation(self, rep: TheoremReport, p: NkdParams, context: str, detail: str):
-        rep.violations.append(
-            Violation(self.index, self.ref, p.as_tuple(), context, detail)
-        )
+def _shifted(g: Graph, p: NkdParams):
+    target = NkdParams(p.n + 2, p.k - 2, p.d)
+    yield f"shifted params ({target.n},{target.k},{target.d})", g, target, None
 
 
-def _conclusion(ctx: _Ctx, rep: TheoremReport, host: Graph, p: NkdParams,
-                target: NkdParams, context: str, cap: int | None) -> None:
-    """Assert that ``host`` satisfies ``target``; report (after an
-    independent recheck) when it does not."""
-    if nkd_holds(host, target, cap=cap):
-        return
-    if _recheck_holds(host, target, cap):
-        raise RuntimeError(
-            f"non-reproducible violation at {context}: cached decision said "
-            f"fails, fresh decision says holds"
-        )
-    ctx.violation(
-        rep, p, context,
-        f"derived graph is not a ({target.n},{target.k},{target.d})-graph",
-    )
-
-
-# -- individual checkers -----------------------------------------------------
-
-
-def _edge_addition(tid: str, g: Graph, p: NkdParams, cap, ctx: _Ctx,
-                   require_d0: bool) -> TheoremReport:
-    rep = TheoremReport(tid, graphs_examined=1)
-    if require_d0 and p.d != 0:
-        rep.skip("d!=0")
-        return rep
-    if not p.n > p.d:
-        rep.skip("n<=d")
-        return rep
-    if p.k < 1:
-        rep.skip("k<1")
-        return rep
-    if not _params_ok(g, p):
-        rep.skip("invalid-params")
-        return rep
-    if not nkd_holds(g, p, cap=cap):
-        rep.skip("not-an-nkd-graph")
-        return rep
-    rep.applicable = 1
+def _added_edges(g: Graph, p: NkdParams):
     target = NkdParams(p.n, p.k - 1, p.d)
     for u in range(g.order):
         for v in range(u + 1, g.order):
-            if g.has_edge(u, v):
-                continue
-            added = _derived(g, "add_edge", u, v)
-            _conclusion(ctx, rep, added, p, target, f"non-edge {u}-{v}", cap)
-    return rep
+            if not g.has_edge(u, v):
+                yield f"non-edge {u}-{v}", _derived(g, "add_edge", u, v), target, (u, v)
 
 
-def check_B1(g: Graph, p: NkdParams, cap: int | None = None,
-             graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-    """n > d, k >= 1: adding any missing edge keeps (n, k-1, d)."""
-    return _edge_addition("B1", g, p, cap, _Ctx(g, graph_index, graph_ref), False)
+def _cone(g: Graph, p: NkdParams):
+    yield "cone", _derived(g, "cone"), NkdParams(p.n + 1, p.k - 1, p.d), None
 
 
-def check_A5(g: Graph, p: NkdParams, cap: int | None = None,
-             graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-    """The d = 0 restriction of the edge-addition rule, reported separately."""
-    return _edge_addition("A5", g, p, cap, _Ctx(g, graph_index, graph_ref), True)
+def _deleted_edges(dn: int, dk: int, degree_bound=None):
+    """Hosts G - uv for every edge uv, with target (n - dn, k - dk, d); with
+    ``degree_bound(p)`` only edges having an endpoint of at least that
+    degree are in the rule's scope."""
+
+    def hosts(g: Graph, p: NkdParams):
+        target = NkdParams(p.n - dn, p.k - dk, p.d)
+        bound = 0 if degree_bound is None else degree_bound(p)
+        for u, v in g.edges:
+            if max(g.degree(u), g.degree(v)) >= bound:
+                yield f"edge {u}-{v}", _derived(g, "delete_edge", u, v), target, (u, v)
+
+    return hosts
 
 
-def _param_shift(tid: str, g: Graph, p: NkdParams, cap, ctx: _Ctx,
-                 require_d0: bool) -> TheoremReport:
-    rep = TheoremReport(tid, graphs_examined=1)
-    if require_d0 and p.d != 0:
-        rep.skip("d!=0")
-        return rep
-    if not p.n > p.d:
-        rep.skip("n<=d")
-        return rep
-    if p.k < 2:
-        rep.skip("k<2")
-        return rep
-    if not _params_ok(g, p):
-        rep.skip("invalid-params")
-        return rep
-    target = NkdParams(p.n + 2, p.k - 2, p.d)
-    if not _params_ok(g, target):
-        rep.skip("target-params-invalid")
-        return rep
-    if not nkd_holds(g, p, cap=cap):
-        rep.skip("not-an-nkd-graph")
-        return rep
-    rep.applicable = 1
-    _conclusion(ctx, rep, g, p, target, f"shifted params ({target.n},{target.k},{target.d})", cap)
-    return rep
+@dataclass(frozen=True)
+class Rule:
+    """One recursive parameter rule.
+
+    ``preconditions`` are (reason, test(g, p)) pairs tried in order; the
+    first failing test names the skip reason.  ``hosts(g, p)`` yields
+    (context, host graph, target triple, edge) for every graph the rule
+    speaks about.  Without a ``variant`` each host must satisfy its target;
+    with one ("d1" or "d3") the target fails on G - edge exactly when a
+    separator decomposition of that variant exists for the edge.
+    """
+
+    doc: str
+    preconditions: tuple
+    hosts: Callable
+    variant: str | None = None
 
 
-def check_B2(g: Graph, p: NkdParams, cap: int | None = None,
-             graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-    """n > d, k >= 2: the same graph also satisfies (n+2, k-2, d)."""
-    return _param_shift("B2", g, p, cap, _Ctx(g, graph_index, graph_ref), False)
+_D0 = ("d!=0", lambda g, p: p.d == 0)
+_N_ABOVE_D = ("n<=d", lambda g, p: p.n > p.d)
+_N2 = ("n<2", lambda g, p: p.n >= 2)
+_K1 = ("k<1", lambda g, p: p.k >= 1)
+_K2 = ("k<2", lambda g, p: p.k >= 2)
+_BIPARTITE = ("not-bipartite", lambda g, p: is_bipartite(g))
 
-
-def check_A4(g: Graph, p: NkdParams, cap: int | None = None,
-             graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-    """The d = 0 restriction of the parameter-shift rule."""
-    return _param_shift("A4", g, p, cap, _Ctx(g, graph_index, graph_ref), True)
-
-
-def check_A3(g: Graph, p: NkdParams, cap: int | None = None,
-             graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-    """Downward closure: (n, k, d) implies (n', k', d) for n' <= n of the
-    same parity and k' <= k."""
-    ctx = _Ctx(g, graph_index, graph_ref)
-    rep = TheoremReport("A3", graphs_examined=1)
-    if not _params_ok(g, p):
-        rep.skip("invalid-params")
-        return rep
-    if not nkd_holds(g, p, cap=cap):
-        rep.skip("not-an-nkd-graph")
-        return rep
-    rep.applicable = 1
-    for n2 in range(p.n % 2, p.n + 1, 2):
-        for k2 in range(p.k + 1):
-            target = NkdParams(n2, k2, p.d)
-            if not _params_ok(g, target):
-                continue  # cannot happen: constraints only loosen
-            _conclusion(ctx, rep, g, p, target, f"lowered params ({n2},{k2},{p.d})", cap)
-    return rep
-
-
-def check_C1(g: Graph, p: NkdParams, cap: int | None = None,
-             graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-    """k > 0, n > d: adding a dominating vertex gives (n+1, k-1, d)."""
-    ctx = _Ctx(g, graph_index, graph_ref)
-    rep = TheoremReport("C1", graphs_examined=1)
-    if p.k < 1:
-        rep.skip("k<1")
-        return rep
-    if not p.n > p.d:
-        rep.skip("n<=d")
-        return rep
-    if not _params_ok(g, p):
-        rep.skip("invalid-params")
-        return rep
-    coned = _derived(g, "cone")
-    target = NkdParams(p.n + 1, p.k - 1, p.d)
-    if not _params_ok(coned, target):
-        rep.skip("target-params-invalid")
-        return rep
-    if not nkd_holds(g, p, cap=cap):
-        rep.skip("not-an-nkd-graph")
-        return rep
-    rep.applicable = 1
-    _conclusion(ctx, rep, coned, p, target, "cone", cap)
-    return rep
-
-
-def _edge_deletion_universal(tid: str, g: Graph, p: NkdParams, cap, ctx: _Ctx,
-                             target: NkdParams, preconditions) -> TheoremReport:
-    rep = TheoremReport(tid, graphs_examined=1)
-    for ok, reason in preconditions:
-        if not ok:
-            rep.skip(reason)
-            return rep
-    if not _params_ok(g, p):
-        rep.skip("invalid-params")
-        return rep
-    if not nkd_holds(g, p, cap=cap):
-        rep.skip("not-an-nkd-graph")
-        return rep
-    rep.applicable = 1
-    for u, v in g.edges:
-        deleted = _derived(g, "del_edge", u, v)
-        _conclusion(ctx, rep, deleted, p, target, f"edge {u}-{v}", cap)
-    return rep
-
-
-def check_A6i(g: Graph, p: NkdParams, cap: int | None = None,
-              graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-    """d = 0, n >= 2, k >= 1: deleting any edge keeps (n-2, k, 0)."""
-    return _edge_deletion_universal(
-        "A6i", g, p, cap, _Ctx(g, graph_index, graph_ref),
-        NkdParams(max(p.n - 2, 0), p.k, p.d),
-        [(p.d == 0, "d!=0"), (p.n >= 2, "n<2"), (p.k >= 1, "k<1")],
-    )
-
-
-def check_A6ii(g: Graph, p: NkdParams, cap: int | None = None,
-               graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-    """d = 0, n >= 2, k >= 1: deleting any edge keeps (n, k-1, 0)."""
-    return _edge_deletion_universal(
-        "A6ii", g, p, cap, _Ctx(g, graph_index, graph_ref),
-        NkdParams(p.n, max(p.k - 1, 0), p.d),
-        [(p.d == 0, "d!=0"), (p.n >= 2, "n<2"), (p.k >= 1, "k<1")],
-    )
-
-
-def check_D2(g: Graph, p: NkdParams, cap: int | None = None,
-             graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-    """Bipartite, n >= 2: deleting any edge keeps (n-2, k, d)."""
-    return _edge_deletion_universal(
-        "D2", g, p, cap, _Ctx(g, graph_index, graph_ref),
-        NkdParams(max(p.n - 2, 0), p.k, p.d),
-        [(is_bipartite(g), "not-bipartite"), (p.n >= 2, "n<2")],
-    )
-
-
-def _recheck_iff(g: Graph, p: NkdParams, edge: Edge, variant: str,
-                 target: NkdParams, cap) -> tuple[bool, bool]:
-    """Recompute the two sides of a deletion iff on freshly built graphs; the
-    separator side uses the subset scan, not the separator layer, so a wrong
-    layer cannot confirm its own answer."""
-    fresh = Graph(g.order, g.edges)
-    fails = not is_nkd_by_characterization(
-        fresh.delete_edge(*edge), target, cap=cap
-    ).holds
-    witness = _scan_decomposition_witness(fresh, p, edge, variant, cap=cap)
-    return fails, witness is not None
-
-
-def _edge_deletion_iff(tid: str, g: Graph, p: NkdParams, cap, ctx: _Ctx,
-                       variant: str, target: NkdParams, degree_bound: int | None,
-                       preconditions) -> TheoremReport:
-    rep = TheoremReport(tid, graphs_examined=1)
-    for ok, reason in preconditions:
-        if not ok:
-            rep.skip(reason)
-            return rep
-    if not _params_ok(g, p):
-        rep.skip("invalid-params")
-        return rep
-    if not nkd_holds(g, p, cap=cap):
-        rep.skip("not-an-nkd-graph")
-        return rep
-    rep.applicable = 1
-    for u, v in g.edges:
-        if degree_bound is not None and max(g.degree(u), g.degree(v)) < degree_bound:
-            continue  # outside the rule's scope
-        deleted = _derived(g, "del_edge", u, v)
-        fails = not nkd_holds(deleted, target, cap=cap)
-        witness = find_decomposition_witness(g, p, (u, v), variant, cap=cap)
-        if fails != (witness is not None):
-            re_fails, re_witness = _recheck_iff(g, p, (u, v), variant, target, cap)
-            if re_fails != fails or re_witness != (witness is not None):
-                raise RuntimeError(
-                    f"non-reproducible violation at edge {u}-{v} of graph "
-                    f"{ctx.index}: cached and fresh runs disagree"
-                )
-            side = (
-                "deletion fails but no separator decomposition exists"
-                if fails
-                else "separator decomposition exists but deletion succeeds"
-            )
-            ctx.violation(rep, p, f"edge {u}-{v}", side)
-        if p.d == 0 and witness is not None:
-            ctx.violation(
-                rep, p, f"edge {u}-{v}",
-                "separator decomposition found at d = 0, which the size rule forbids",
-            )
-    return rep
-
-
-def check_D1(g: Graph, p: NkdParams, cap: int | None = None,
-             graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-    """n >= 2: deleting an edge destroys (n-2, k, d) exactly when a separator
-    decomposition for that edge exists (k-matching variant)."""
-    return _edge_deletion_iff(
-        "D1", g, p, cap, _Ctx(g, graph_index, graph_ref), "d1",
-        NkdParams(max(p.n - 2, 0), p.k, p.d), None,
-        [(p.n >= 2, "n<2")],
-    )
-
-
-def check_D3(g: Graph, p: NkdParams, cap: int | None = None,
-             graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-    """k >= 1: for edges with an endpoint of degree >= 2k, deleting the edge
-    destroys (n, k-1, d) exactly when a separator decomposition exists
-    ((k-1)-matching variant)."""
-    return _edge_deletion_iff(
-        "D3", g, p, cap, _Ctx(g, graph_index, graph_ref), "d3",
-        NkdParams(p.n, max(p.k - 1, 0), p.d), 2 * p.k,
-        [(p.k >= 1, "k<1")],
-    )
-
-
-CHECKERS = {
-    "A3": check_A3,
-    "A4": check_A4,
-    "A5": check_A5,
-    "A6i": check_A6i,
-    "A6ii": check_A6ii,
-    "B1": check_B1,
-    "B2": check_B2,
-    "C1": check_C1,
-    "D1": check_D1,
-    "D2": check_D2,
-    "D3": check_D3,
+RULES = {
+    "A3": Rule(
+        "Downward closure: (n, k, d) implies (n', k', d) for n' <= n of the "
+        "same parity and k' <= k.",
+        (), _lowered,
+    ),
+    "A4": Rule("The d = 0 restriction of the parameter-shift rule.",
+               (_D0, _N_ABOVE_D, _K2), _shifted),
+    "A5": Rule("The d = 0 restriction of the edge-addition rule, reported separately.",
+               (_D0, _N_ABOVE_D, _K1), _added_edges),
+    "A6i": Rule("d = 0, n >= 2, k >= 1: deleting any edge keeps (n-2, k, 0).",
+                (_D0, _N2, _K1), _deleted_edges(2, 0)),
+    "A6ii": Rule("d = 0, n >= 2, k >= 1: deleting any edge keeps (n, k-1, 0).",
+                 (_D0, _N2, _K1), _deleted_edges(0, 1)),
+    "B1": Rule("n > d, k >= 1: adding any missing edge keeps (n, k-1, d).",
+               (_N_ABOVE_D, _K1), _added_edges),
+    "B2": Rule("n > d, k >= 2: the same graph also satisfies (n+2, k-2, d).",
+               (_N_ABOVE_D, _K2), _shifted),
+    "C1": Rule("k > 0, n > d: adding a dominating vertex gives (n+1, k-1, d).",
+               (_K1, _N_ABOVE_D), _cone),
+    "D1": Rule(
+        "n >= 2: deleting an edge destroys (n-2, k, d) exactly when a separator "
+        "decomposition for that edge exists (k-matching variant).",
+        (_N2,), _deleted_edges(2, 0), "d1",
+    ),
+    "D2": Rule("Bipartite, n >= 2: deleting any edge keeps (n-2, k, d).",
+               (_BIPARTITE, _N2), _deleted_edges(2, 0)),
+    "D3": Rule(
+        "k >= 1: for edges with an endpoint of degree >= 2k, deleting the edge "
+        "destroys (n, k-1, d) exactly when a separator decomposition exists "
+        "((k-1)-matching variant).",
+        (_K1,), _deleted_edges(0, 1, degree_bound=lambda p: 2 * p.k), "d3",
+    ),
 }
+
+THEOREM_IDS = tuple(RULES)
+
+
+def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None,
+              graph_index: int, graph_ref: str | None) -> TheoremReport:
+    """Classify one (graph, params) instance of rule ``tid`` and check its
+    conclusion on every host.  A violation is decided again from scratch on
+    freshly built graphs, which carry no caches, before it is reported; the
+    separator side is rechecked with the subset scan, so a wrong separator
+    layer cannot confirm its own answer."""
+    rule = RULES[tid]
+    rep = TheoremReport(tid, graphs_examined=1)
+    for reason, test in rule.preconditions + (("invalid-params", _params_ok),):
+        if not test(g, p):
+            rep.skip(reason)
+            return rep
+    if not nkd_holds(g, p, cap=cap):
+        rep.skip("not-an-nkd-graph")
+        return rep
+    rep.applicable = 1
+
+    def violation(context: str, detail: str) -> None:
+        ref = write_graph6(g) if graph_ref is None else graph_ref
+        rep.violations.append(Violation(graph_index, ref, p.as_tuple(), context, detail))
+
+    for context, host, target, edge in rule.hosts(g, p):
+        if rule.variant is None:
+            if nkd_holds(host, target, cap=cap):
+                continue
+            if is_nkd_by_characterization(Graph(host.order, host.edges), target, cap=cap).holds:
+                raise RuntimeError(
+                    f"non-reproducible violation at {context}: cached decision said "
+                    f"fails, fresh decision says holds"
+                )
+            violation(context, f"derived graph is not a ({target.n},{target.k},{target.d})-graph")
+            continue
+        fails = not nkd_holds(host, target, cap=cap)
+        witness = find_decomposition_witness(g, p, edge, rule.variant, cap=cap)
+        if fails != (witness is not None):
+            fresh = Graph(g.order, g.edges)
+            re_fails = not is_nkd_by_characterization(
+                fresh.delete_edge(*edge), target, cap=cap
+            ).holds
+            re_witness = _scan_decomposition_witness(fresh, p, edge, rule.variant, cap=cap)
+            if re_fails != fails or (re_witness is None) != (witness is None):
+                raise RuntimeError(
+                    f"non-reproducible violation at {context} of graph "
+                    f"{graph_index}: cached and fresh runs disagree"
+                )
+            violation(context, "deletion fails but no separator decomposition exists"
+                      if fails else "separator decomposition exists but deletion succeeds")
+        if p.d == 0 and witness is not None:
+            violation(context, "separator decomposition found at d = 0, which the size rule forbids")
+    return rep
+
+
+def _checker(tid: str):
+    def check(g: Graph, p: NkdParams, cap: int | None = None,
+              graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
+        return _run_rule(tid, g, p, cap, graph_index, graph_ref)
+
+    check.__name__ = check.__qualname__ = f"check_{tid}"
+    check.__doc__ = RULES[tid].doc
+    return check
+
+
+#: ``check_graph`` dispatches through this dict at call time, so an entry
+#: replaced in place (for example by a tracer) is the one that runs.
+CHECKERS = {tid: _checker(tid) for tid in RULES}
+(check_A3, check_A4, check_A5, check_A6i, check_A6ii, check_B1, check_B2,
+ check_C1, check_D1, check_D2, check_D3) = CHECKERS.values()
 
 
 # -- census runner -----------------------------------------------------------

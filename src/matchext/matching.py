@@ -108,12 +108,20 @@ def berge_violating_set(
             f"subset enumeration is capped at {limit} vertices, graph has "
             f"{g.order}; pass a larger cap to accept the cost"
         )
-    adj = _engine.adjacency_masks(g)
-    full = _engine.full_mask(g)
+    return _berge_blocker(g, _engine.full_mask(g), d)
+
+
+def _berge_blocker(g: Graph, mask: int, d: int) -> tuple[int, ...] | None:
+    """Smallest (then lexicographically least) T inside ``mask`` such that
+    ``mask - T`` has more than |T| + d odd components, or None.  Reads the
+    odd-component table up to ``_engine.TABLE_LIMIT`` vertices and flood
+    fills each subset above it."""
     table = _engine.odd_table(g) if g.order <= _engine.TABLE_LIMIT else None
-    for size in range(g.order + 1):
-        for subset in combinations(range(g.order), size):
-            rest = full & ~_engine.mask_of(subset)
+    adj = _engine.adjacency_masks(g)
+    vertices = _engine.bits_of(mask)
+    for size in range(len(vertices) + 1):
+        for subset in combinations(vertices, size):
+            rest = mask & ~_engine.mask_of(subset)
             o = table[rest] if table is not None else _engine.odd_component_count(adj, rest)
             if o > size + d:
                 return subset
@@ -129,20 +137,29 @@ def enumerate_k_matchings(g: Graph, k: int) -> Iterator[Matching]:
     """
     if k < 0:
         raise ValueError(f"matching size must be non-negative, got {k}")
-    edges = g.edges
+    return (Matching(edges) for edges, _ in _matchings_in_mask(g.edges, _engine.full_mask(g), k))
+
+
+def _matchings_in_mask(edges: tuple[Edge, ...], mask: int, k: int) -> Iterator[tuple[tuple[Edge, ...], int]]:
+    """Size-k matchings using only vertices of ``mask``, canonical order,
+    yielded with their covered-vertex mask."""
+    avail = [
+        (e, (1 << e[0]) | (1 << e[1]))
+        for e in edges
+        if (mask >> e[0]) & 1 and (mask >> e[1]) & 1
+    ]
     chosen: list[Edge] = []
 
     def rec(start: int, used: int):
         if len(chosen) == k:
-            yield Matching(tuple(chosen))
+            yield tuple(chosen), used
             return
         remaining = k - len(chosen)
-        for i in range(start, len(edges) - remaining + 1):
-            u, v = edges[i]
-            pair = (1 << u) | (1 << v)
+        for i in range(start, len(avail) - remaining + 1):
+            e, pair = avail[i]
             if used & pair:
                 continue
-            chosen.append(edges[i])
+            chosen.append(e)
             yield from rec(i + 1, used | pair)
             chosen.pop()
 

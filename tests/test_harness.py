@@ -33,7 +33,31 @@ from matchext.harness import (
     check_D2,
     check_D3,
 )
-from conftest import complete, complete_bipartite, connected_census, cycle
+from conftest import (
+    complete,
+    complete_bipartite,
+    connected_census,
+    cycle,
+    disconnected_sample,
+)
+
+# (applicable, inapplicable reasons) per rule over connected_census(6) plus
+# the first 200 graphs of disconnected_sample(1000, seed=4242).  The counts
+# pin each rule's precondition order: the first failing precondition is the
+# one recorded, so a reordering moves counts between reasons.
+PINNED_RULE_COUNTS = {
+    "A3": (1755, {"not-an-nkd-graph": 2423}),
+    "A4": (0, {"d!=0": 2513, "k<2": 1023, "n<=d": 587, "not-an-nkd-graph": 55}),
+    "A5": (2, {"d!=0": 2513, "k<1": 682, "n<=d": 587, "not-an-nkd-graph": 394}),
+    "A6i": (1, {"d!=0": 2513, "k<1": 554, "n<2": 896, "not-an-nkd-graph": 214}),
+    "A6ii": (1, {"d!=0": 2513, "k<1": 554, "n<2": 896, "not-an-nkd-graph": 214}),
+    "B1": (2, {"k<1": 1078, "n<=d": 2649, "not-an-nkd-graph": 449}),
+    "B2": (0, {"k<2": 1474, "n<=d": 2649, "not-an-nkd-graph": 55}),
+    "C1": (2, {"k<1": 2743, "n<=d": 984, "not-an-nkd-graph": 449}),
+    "D1": (256, {"n<2": 2743, "not-an-nkd-graph": 1179}),
+    "D2": (17, {"n<2": 951, "not-an-nkd-graph": 427, "not-bipartite": 2783}),
+    "D3": (338, {"k<1": 2743, "not-an-nkd-graph": 1097}),
+}
 
 
 def test_valid_triples_order8():
@@ -192,6 +216,24 @@ def test_violation_reporting_when_recheck_confirms(monkeypatch):
     assert violation.graph6 == write_graph6(h)
 
 
+def test_deletion_iff_recheck_and_reporting(monkeypatch):
+    # K6 is a (2,1,0)-graph and every edge deletion keeps (0,1,0); force the
+    # separator lookup to claim a decomposition for every edge
+    h = complete(6)
+    fake = object()
+    monkeypatch.setattr(harness, "find_decomposition_witness", lambda *a, **k: fake)
+    with pytest.raises(RuntimeError, match="at edge 0-1 of graph 0: cached and fresh"):
+        check_D1(h, NkdParams(2, 1, 0))
+    monkeypatch.setattr(harness, "_scan_decomposition_witness", lambda *a, **k: fake)
+    rep = check_D1(h, NkdParams(2, 1, 0), graph_index=5)
+    assert rep.applicable == 1
+    assert len(rep.violations) == 2 * len(h.edges)
+    first, second = rep.violations[:2]
+    assert (first.graph_index, first.params, first.context) == (5, (2, 1, 0), "edge 0-1")
+    assert first.detail == "separator decomposition exists but deletion succeeds"
+    assert second.detail == "separator decomposition found at d = 0, which the size rule forbids"
+
+
 def test_report_merge_and_to_dict():
     a = TheoremReport("A3", graphs_examined=1, applicable=2)
     a.skip("n<2")
@@ -212,6 +254,44 @@ def test_check_graph_sweeps_all_triples():
     total = reports["A3"].applicable + sum(reports["A3"].inapplicable.values())
     assert total == len(valid_triples(6))
     assert reports["A3"].graphs_examined == 1
+
+
+def test_rule_counts_pinned():
+    graphs = connected_census(6) + disconnected_sample(1000, seed=4242)[:200]
+    result = run_census([write_graph6(g) for g in graphs])
+    assert result.passed
+    counts = {tid: (rep.applicable, rep.inapplicable) for tid, rep in result.reports.items()}
+    assert counts == PINNED_RULE_COUNTS
+
+
+def test_every_theorem_id_has_a_named_checker():
+    assert tuple(harness.CHECKERS) == harness.THEOREM_IDS
+    for tid in harness.THEOREM_IDS:
+        checker = harness.CHECKERS[tid]
+        assert callable(checker) and checker.__name__ == f"check_{tid}"
+        assert getattr(harness, f"check_{tid}") is checker
+        assert checker.__doc__
+
+
+def test_check_graph_dispatches_through_checkers_at_call_time(monkeypatch):
+    real = harness.CHECKERS["D3"]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setitem(harness.CHECKERS, "D3", counting)
+    reports = check_graph(complete(6))
+    assert len(calls) == len(valid_triples(6))
+    assert reports["D3"].applicable + sum(reports["D3"].inapplicable.values()) == len(calls)
+
+
+def test_check_c1_builds_no_cone_when_inapplicable():
+    g = cycle(6)
+    rep = check_C1(g, NkdParams(2, 1, 0))
+    assert rep.inapplicable == {"not-an-nkd-graph": 1}
+    assert ("derived", "cone") not in g._cache
 
 
 def test_run_census_small_stream_all_theorems():
