@@ -7,6 +7,7 @@ Exit codes: 0 the property holds / the task completed; 1 the property fails
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -42,10 +43,11 @@ _FORMATS = ("g6", "el")
 _SUFFIXES = {".g6": "g6", ".graph6": "g6", ".el": "el", ".edges": "el"}
 
 
-def _read_text(path: str) -> str:
+def _open_input(path: str):
+    """Undecodable bytes become lone surrogates, which readers reject as input."""
     if path == "-":
-        return sys.stdin.read()
-    return Path(path).read_text()
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, errors="surrogateescape")
 
 
 def _pick_format(path: str, explicit: str | None) -> str:
@@ -62,7 +64,8 @@ def _pick_format(path: str, explicit: str | None) -> str:
 
 def _load_graph(path: str, explicit_format: str | None) -> Graph:
     fmt = _pick_format(path, explicit_format)
-    text = _read_text(path)
+    with _open_input(path) as stream:
+        text = stream.read()
     try:
         if fmt == "g6":
             for line in text.splitlines():
@@ -182,17 +185,21 @@ def cmd_witness(args) -> int:
 
 
 def cmd_census(args) -> int:
-    text = _read_text(args.input)
-    default_order = int(os.environ.get(MAX_ORDER_ENV, CENSUS_ORDER_CAP))
+    raw_order = os.environ.get(MAX_ORDER_ENV, str(CENSUS_ORDER_CAP))
+    try:
+        default_order = int(raw_order)
+    except ValueError:
+        raise ParameterError(f"{MAX_ORDER_ENV} must be an integer, got {raw_order!r}") from None
     max_order = args.max_order if args.max_order is not None else default_order
     theorems = tuple(args.theorems.split(",")) if args.theorems else THEOREM_IDS
-    result = run_census(
-        text.splitlines(),
-        theorems=theorems,
-        max_order=max_order,
-        jobs=args.jobs,
-        allow_large=args.allow_large,
-    )
+    with _open_input(args.input) as stream:
+        result = run_census(
+            stream,
+            theorems=theorems,
+            max_order=max_order,
+            jobs=args.jobs,
+            allow_large=args.allow_large,
+        )
     for line in result.summary_lines():
         print(line)
     if args.report:
@@ -270,7 +277,7 @@ def main(argv=None) -> int:
     except (ParameterError, GraphConstructionError, SearchCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FormatError as exc:
+    except (FormatError, UnicodeDecodeError) as exc:
         print(f"decode error: {exc}", file=sys.stderr)
         return EXIT_DECODE
     except OSError as exc:

@@ -248,12 +248,8 @@ def nkd_holds(g: Graph, params: NkdParams, cap: int | None = None) -> bool:
     """
     validate_params(g, params)
     _check_cap(g, cap, DECIDER_CAP, "decider")
-    key = ("nkd",) + params.as_tuple()
-    got = g._cache.get(key)
-    if got is None:
-        got = _characterization_holds(g, *params.as_tuple())
-        g._cache[key] = got
-    return got
+    return _engine.cached(g, ("nkd",) + params.as_tuple(),
+                          lambda: _characterization_holds(g, *params.as_tuple()))
 
 
 def is_nkd_by_characterization(g: Graph, params: NkdParams, cap: int | None = None) -> Verdict:

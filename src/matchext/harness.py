@@ -17,11 +17,14 @@ aggregates deterministic reports.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Callable
 
+from . import _engine
 from .decision import (
     NkdParams,
     WITNESS_SEARCH_CAP,
@@ -106,10 +109,7 @@ def _params_ok(g: Graph, p: NkdParams) -> bool:
 def _derived(g: Graph, method: str, *args) -> Graph:
     """``getattr(g, method)(*args)``, cached on the parent so the derived
     graph's subset tables are shared across rules and triples."""
-    key = ("derived", method) + args
-    if key not in g._cache:
-        g._cache[key] = getattr(g, method)(*args)
-    return g._cache[key]
+    return _engine.cached(g, ("derived", method) + args, lambda: getattr(g, method)(*args))
 
 
 def _lowered(g: Graph, p: NkdParams):
@@ -345,8 +345,6 @@ class CensusResult:
 def check_graph(g: Graph, theorems=THEOREM_IDS, cap: int | None = None,
                 graph_index: int = 0, graph_ref: str | None = None) -> dict[str, TheoremReport]:
     """Run the selected checkers over every valid triple of one graph."""
-    if graph_ref is None:
-        graph_ref = write_graph6(g)
     out = {tid: TheoremReport(tid, graphs_examined=1) for tid in theorems}
     for p in valid_triples(g.order):
         for tid in theorems:
@@ -358,30 +356,34 @@ def check_graph(g: Graph, theorems=THEOREM_IDS, cap: int | None = None,
     return out
 
 
-def _census_worker(payload):
-    index, lineno, line, theorems, max_order, cap = payload
+def _census_worker(item, theorems, max_order, cap):
+    """Decode and check one numbered stream line: ``(lineno, decode error,
+    per-theorem reports)``, with no reports for a graph over ``max_order``."""
+    index, (lineno, line) = item
     try:
         g = read_graph6(line)
     except FormatError as exc:
-        return (index, lineno, None, str(exc), None)
+        return lineno, str(exc), None
     if g.order > max_order:
-        return (index, lineno, line.strip(), None, None)
-    return (index, lineno, line.strip(), None, check_graph(
-        g, theorems, cap=cap, graph_index=index, graph_ref=line.strip()
-    ))
+        return lineno, None, None
+    return lineno, None, check_graph(g, theorems, cap=cap, graph_index=index,
+                                     graph_ref=line.strip())
 
 
 def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
-               cap: int | None = None, jobs: int = 1,
-               allow_large: bool = False) -> CensusResult:
+               jobs: int = 1, allow_large: bool = False) -> CensusResult:
     """Run checkers over a graph6 stream.
 
-    ``lines`` is any iterable of graph6 lines; blank lines and a leading
-    '>>graph6<<' header are ignored.  Decode failures become per-line
-    diagnostics and processing continues.  Graphs larger than ``max_order``
-    are counted but not processed.  ``jobs > 1`` fans graphs out to worker
-    processes; reports are aggregated in input order either way.  ``jobs``
-    must lie in 1..os.cpu_count().
+    ``lines`` is any iterable of graph6 lines, such as an open text file,
+    and is consumed lazily: each graph is decoded, checked and merged into
+    the reports as its result arrives, so memory holds the reports, not the
+    stream.  Blank lines and a '>>graph6<<' header are ignored but still
+    counted in line numbers.  Decode failures become per-line diagnostics
+    and processing continues.  Graphs larger than ``max_order`` are counted
+    but not processed; the deciders' order cap is ``max_order + 1`` or
+    ``CENSUS_ORDER_CAP``, whichever is larger.  ``jobs > 1`` checks graphs
+    in a pool of worker processes; results are merged in input order either
+    way.  ``jobs`` must lie in 1..os.cpu_count().
     """
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
@@ -400,35 +402,22 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
             f"census max order {max_order} exceeds the default cap of "
             f"{CENSUS_ORDER_CAP}; pass allow_large to accept the cost"
         )
-    effective_cap = cap if cap is not None else max(max_order + 1, CENSUS_ORDER_CAP)
+    work = functools.partial(_census_worker, theorems=theorems, max_order=max_order,
+                             cap=max(max_order + 1, CENSUS_ORDER_CAP))
+    items = enumerate((lineno, raw) for lineno, raw in enumerate(lines, start=1)
+                      if raw.strip() not in ("", ">>graph6<<"))
 
-    payloads = []
-    index = 0
-    for lineno, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
-        if not stripped or stripped == ">>graph6<<":
-            continue
-        payloads.append((index, lineno, raw, theorems, max_order, effective_cap))
-        index += 1
-
-    if jobs > 1 and len(payloads) > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_census_worker, payloads, chunksize=16)
-    else:
-        results = [_census_worker(p) for p in payloads]
-
-    reports = {tid: TheoremReport(tid) for tid in theorems}
-    decode_errors: list[tuple[int, str]] = []
-    graphs = 0
-    skipped = 0
-    for _index, lineno, _ref, error, per_theorem in results:
-        if error is not None:
-            decode_errors.append((lineno, error))
-            continue
-        if per_theorem is None:
-            skipped += 1
-            continue
-        graphs += 1
-        for tid in theorems:
-            reports[tid].merge(per_theorem[tid])
-    return CensusResult(graphs, skipped, decode_errors, reports)
+    result = CensusResult(0, 0, [], {tid: TheoremReport(tid) for tid in theorems})
+    pool = multiprocessing.Pool(jobs) if jobs > 1 else None
+    with pool or contextlib.nullcontext():
+        results = pool.imap(work, items, chunksize=16) if pool else map(work, items)
+        for lineno, error, per_theorem in results:
+            if error is not None:
+                result.decode_errors.append((lineno, error))
+            elif per_theorem is None:
+                result.skipped_over_max_order += 1
+            else:
+                result.graphs += 1
+                for tid in theorems:
+                    result.reports[tid].merge(per_theorem[tid])
+    return result

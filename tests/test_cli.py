@@ -1,9 +1,14 @@
+import io
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import matchext
 from matchext import family_cliques_plus_edge, write_edge_list, write_graph6
 from matchext.cli import main
 from conftest import complete, connected_census, cycle
@@ -263,3 +268,89 @@ def test_edge_list_input_inferred(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--graph", str(path),
                        "--n", "0", "--k", "1", "--d", "0")
     assert code == 0
+
+
+def test_check_and_witness_reject_non_utf8_input(capsys, tmp_path):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"\xffhc\n")
+    code, _, err = run(capsys, "check", "--graph", str(path),
+                       "--n", "0", "--k", "0", "--d", "0")
+    assert code == 3
+    assert err.startswith("decode error:") and "offset 0" in err
+    code, _, err = run(capsys, "witness", "--graph", str(path), "--n", "0", "--k", "1",
+                       "--d", "0", "--edge", "0", "1", "--variant", "d1")
+    assert code == 3
+    assert err.startswith("decode error:")
+
+
+def test_census_non_utf8_line_is_a_decode_error(capsys, tmp_path):
+    stream = tmp_path / "bad.g6"
+    stream.write_bytes(b"Dhc\n\xffhc\nDhc\n")
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "census", "--input", str(stream), "--theorems", "A3",
+                       "--report", str(report))
+    assert code == 3
+    assert "graphs examined: 2" in out
+    errors = json.loads(report.read_text())["decode_errors"]
+    assert [e["line"] for e in errors] == [2]
+    assert "offset 0" in errors[0]["error"]
+
+
+def test_census_undecodable_stdin_exits_3(capsys, monkeypatch):
+    stdin = io.TextIOWrapper(io.BytesIO(b"Dhc\n\xffhc\n"), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, _, err = run(capsys, "census", "--theorems", "A3")
+    assert code == 3
+    assert err.startswith("decode error:") and "utf-8" in err
+
+
+def test_census_bad_max_order_env(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MATCHEXT_MAX_ORDER", "abc")
+    stream = tmp_path / "s.g6"
+    stream.write_text(write_graph6(cycle(4)) + "\n")
+    code, _, err = run(capsys, "census", "--input", str(stream))
+    assert code == 2
+    assert err.startswith("error:") and "MATCHEXT_MAX_ORDER" in err
+
+
+def test_census_line_numbers_follow_line_endings(capsys, tmp_path):
+    stream = tmp_path / "s.g6"
+    stream.write_bytes(b"Dhc\x0cDhc\nDhc\r\nbad!\rDhc\n")
+    report = tmp_path / "report.json"
+    code, out, _ = run(capsys, "census", "--input", str(stream), "--theorems", "A3",
+                       "--report", str(report))
+    assert code == 3
+    assert "graphs examined: 2" in out
+    errors = json.loads(report.read_text())["decode_errors"]
+    assert [e["line"] for e in errors] == [1, 3]
+
+
+# A child's peak RSS includes the memory of the process it was forked from,
+# so the census is started from a small interpreter, not from pytest.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _census_peak_rss_kb(tmp_path, copies: int) -> int:
+    stream = tmp_path / f"dhc{copies}.g6"
+    stream.write_text("Dhc\n" * copies)
+    src = str(Path(matchext.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "matchext", "census",
+         "--theorems", "A3", "--input", str(stream)],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out[0] == "0"
+    return int(out[1])
+
+
+def test_census_peak_rss_does_not_grow_with_the_stream(tmp_path):
+    small = _census_peak_rss_kb(tmp_path, 1000)
+    large = _census_peak_rss_kb(tmp_path, 8000)
+    assert large - small < 2048, (small, large)

@@ -1,3 +1,4 @@
+import io
 import json
 import multiprocessing
 import os
@@ -355,8 +356,39 @@ def test_run_census_parallel_determinism():
     lines.insert(2, "garbage")
     sequential = run_census(lines, theorems=("A3", "B1", "D1"))
     parallel = run_census(lines, theorems=("A3", "B1", "D1"), jobs=2)
+    streamed = run_census((line for line in lines), theorems=("A3", "B1", "D1"), jobs=2)
     as_json = lambda r: json.dumps(r.to_dict(), sort_keys=True, indent=2)
-    assert as_json(sequential) == as_json(parallel)
+    assert as_json(sequential) == as_json(parallel) == as_json(streamed)
+
+
+def test_run_census_reads_the_stream_lazily(monkeypatch):
+    read = 0
+
+    def stream():
+        nonlocal read
+        for g in connected_census(4):
+            read += 1
+            yield write_graph6(g)
+
+    real = harness.check_graph
+    read_at_check = []
+
+    def recording(*args, **kwargs):
+        read_at_check.append(read)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "check_graph", recording)
+    result = run_census(stream(), theorems=("A3",))
+    assert result.graphs == len(read_at_check) == 10
+    for i, lines_read in enumerate(read_at_check):
+        assert lines_read <= i + 1
+
+
+def test_run_census_numbers_lines_at_newlines_only():
+    # \x0c is a line boundary for str.splitlines() but not for a text stream.
+    result = run_census(io.StringIO("Dhc\x0cDhc\nDhc\nbad!\n"), theorems=("A3",))
+    assert result.graphs == 1
+    assert [line for line, _ in result.decode_errors] == [1, 3]
 
 
 def test_census_result_summary_lines():
