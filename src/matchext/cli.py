@@ -44,8 +44,11 @@ _SUFFIXES = {".g6": "g6", ".graph6": "g6", ".el": "el", ".edges": "el"}
 
 
 def _open_input(path: str):
-    """Undecodable bytes become lone surrogates, which readers reject as input."""
+    """Undecodable bytes become lone surrogates, which readers reject as input,
+    whether they come from a file or from stdin."""
     if path == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(errors="surrogateescape")
         return contextlib.nullcontext(sys.stdin)
     return open(path, errors="surrogateescape")
 

@@ -200,11 +200,19 @@ def is_nkd_by_definition(g: Graph, params: NkdParams, cap: int | None = None) ->
 def _char_summary(g: Graph) -> list[list[int]]:
     """summary[k][s]: the largest value of (odd components after deleting S)
     minus |S| over subsets S of size s whose induced subgraph has a
-    k-matching; suffix-maximised over s so row lookups answer "any size >= s"."""
+    k-matching; suffix-maximised over s so row lookups answer "any size >= s".
+
+    A graph built by ``harness._derived`` carries a ``"derived_from"`` link
+    to its parent; its summary is folded from the parent's tables with
+    per-edit corrections (:func:`_derived_tables`) instead of its own, and
+    the link is dropped so that no parent <-> child cycle survives."""
 
     def build():
-        nu = _engine.nu_table(g)
-        odd = _engine.odd_table(g)
+        link = g._cache.pop("derived_from", None)
+        if link is None:
+            nu, odd = _engine.nu_table(g), _engine.odd_table(g)
+        else:
+            nu, odd = _derived_tables(g, *link)
         full = _engine.full_mask(g)
         top = nu[full]
         rows = [[_NEG] * (g.order + 2) for _ in range(top + 1)]
@@ -229,6 +237,71 @@ def _char_summary(g: Graph) -> list[list[int]]:
         return rows
 
     return _engine.cached(g, "char_summary", build)
+
+
+def _derived_tables(h: Graph, parent: Graph, method: str, args: tuple) -> tuple[list[int], list[int]]:
+    """The ``nu`` and ``odd`` values of ``h == getattr(parent, method)(*args)``,
+    corrected from the parent's tables rather than rebuilt.
+
+    The two lists are transient copies for one summary fold and are never
+    cached on ``h``.  Only subsets M holding both ends of an edited edge uv
+    change.  ``nu[M]`` gains the edge (G + uv) or takes one matching step
+    at u without it (G - uv).  The odd count changes only when u's
+    component C without uv misses v: then uv merges C with v's component
+    (G + uv) or was a bridge (G - uv), and the count is that of u's
+    component in ``h`` plus the parent's count on the rest, which the edit
+    does not touch.  For the cone with apex a, ``nu[M + a]`` is ``nu[M]``
+    plus one when M leaves a vertex exposed, and R + a is connected.
+    """
+    _engine._require_table(h)
+    nu, odd = _engine.nu_table(parent), _engine.odd_table(parent)
+    if method == "cone":
+        return (nu + [k + (m.bit_count() > 2 * k) for m, k in enumerate(nu)],
+                odd + [(m.bit_count() + 1) & 1 for m in range(len(odd))])
+    u, v = args
+    adj_h = _engine.adjacency_masks(h)
+    adj = _engine.adjacency_masks(parent) if method == "add_edge" else adj_h
+    bu, bv = 1 << u, 1 << v
+    both = bu | bv
+    rest = _engine.full_mask(h) ^ both
+    nu_h, odd_h = nu.copy(), odd.copy()
+    x = rest
+    while True:
+        m = x | both
+        k = nu[m]
+        if method == "add_edge":
+            if nu[x] >= k:
+                nu_h[m] = k + 1
+        elif nu[m ^ bu] < k:
+            # every maximum matching of G[M] covers u: keep k only if one
+            # uses an edge of u other than uv
+            ws = adj_h[u] & m
+            while ws:
+                b = ws & -ws
+                if nu[m ^ bu ^ b] == k - 1:
+                    break
+                ws ^= b
+            else:
+                nu_h[m] = k - 1
+        # grow C layer by layer, stopping once a layer reaches v
+        c = layer = bu
+        while layer:
+            grown = 0
+            while layer:
+                b = layer & -layer
+                grown |= adj[b.bit_length() - 1]
+                layer ^= b
+            if grown & bv:
+                break
+            layer = grown & m & ~c
+            c |= layer
+        else:
+            if method == "add_edge":
+                c = _engine.spread(adj_h, c | bv, m)
+            odd_h[m] = odd[m ^ c] + (c.bit_count() & 1)
+        if not x:
+            return nu_h, odd_h
+        x = (x - 1) & rest
 
 
 def _characterization_holds(g: Graph, n: int, k: int, d: int) -> bool:

@@ -108,8 +108,17 @@ def _params_ok(g: Graph, p: NkdParams) -> bool:
 
 def _derived(g: Graph, method: str, *args) -> Graph:
     """``getattr(g, method)(*args)``, cached on the parent so the derived
-    graph's subset tables are shared across rules and triples."""
-    return _engine.cached(g, ("derived", method) + args, lambda: getattr(g, method)(*args))
+    graph's decisions are shared across rules and triples.  The host is
+    linked to its parent (``"derived_from"``), so that its characterization
+    summary is built from the parent's tables; building the summary drops
+    the link."""
+
+    def build():
+        host = getattr(g, method)(*args)
+        host._cache["derived_from"] = (g, method, args)
+        return host
+
+    return _engine.cached(g, ("derived", method) + args, build)
 
 
 def _lowered(g: Graph, p: NkdParams):

@@ -297,11 +297,30 @@ def test_census_non_utf8_line_is_a_decode_error(capsys, tmp_path):
 
 
 def test_census_undecodable_stdin_exits_3(capsys, monkeypatch):
-    stdin = io.TextIOWrapper(io.BytesIO(b"Dhc\n\xffhc\n"), encoding="utf-8", errors="strict")
+    # a strict stdin is switched to surrogateescape: the bad byte is one
+    # per-line decode error, as in a file, and the census goes on
+    stdin = io.TextIOWrapper(io.BytesIO(b"Dhc\n\xffhc\nDhc\n"), encoding="utf-8",
+                             errors="strict")
     monkeypatch.setattr(sys, "stdin", stdin)
-    code, _, err = run(capsys, "census", "--theorems", "A3")
+    code, out, err = run(capsys, "census", "--theorems", "A3")
     assert code == 3
-    assert err.startswith("decode error:") and "utf-8" in err
+    assert "graphs examined: 2" in out and "decode errors: 1" in out
+    assert err == ""
+
+
+def test_census_stdin_under_strict_locale(tmp_path):
+    report = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "matchext", "census", "--theorems", "A3",
+         "--report", str(report)],
+        input=b"Dhc\n\xffhc\nDhc\n", capture_output=True,
+        env=dict(_matchext_env(), PYTHONIOENCODING="utf-8:strict"),
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert b"graphs examined: 2" in proc.stdout
+    errors = json.loads(report.read_text())["decode_errors"]
+    assert [e["line"] for e in errors] == [2]
+    assert "offset 0" in errors[0]["error"]
 
 
 def test_census_bad_max_order_env(capsys, tmp_path, monkeypatch):
@@ -325,6 +344,13 @@ def test_census_line_numbers_follow_line_endings(capsys, tmp_path):
     assert [e["line"] for e in errors] == [1, 3]
 
 
+def _matchext_env() -> dict:
+    """The environment for a ``python -m matchext`` child of the tests."""
+    src = str(Path(matchext.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 # A child's peak RSS includes the memory of the process it was forked from,
 # so the census is started from a small interpreter, not from pytest.
 _PEAK_RSS = """
@@ -338,13 +364,10 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 def _census_peak_rss_kb(tmp_path, copies: int) -> int:
     stream = tmp_path / f"dhc{copies}.g6"
     stream.write_text("Dhc\n" * copies)
-    src = str(Path(matchext.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run(
         [sys.executable, "-c", _PEAK_RSS, sys.executable, "-m", "matchext", "census",
          "--theorems", "A3", "--input", str(stream)],
-        env=env, capture_output=True, text=True, check=True,
+        env=_matchext_env(), capture_output=True, text=True, check=True,
     ).stdout.split()
     assert out[0] == "0"
     return int(out[1])

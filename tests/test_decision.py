@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from matchext import (
@@ -24,7 +26,8 @@ from matchext import (
     verify_decomposition_witness,
     verify_witness,
 )
-from matchext.decision import _scan_decomposition_witness
+from matchext.decision import _char_summary, _scan_decomposition_witness
+from matchext.harness import _derived
 from conftest import (
     complete,
     complete_bipartite,
@@ -371,6 +374,29 @@ def test_separator_layer_built_once_per_size():
     assert find_decomposition_witness(h, NkdParams(2, 1, 2), (0, 1), "d1") is None
     assert find_decomposition_witness(h, NkdParams(0, 2, 2), (6, 7), "d3") is not None
     assert set(h._cache) == keys
+
+
+def _edits(g):
+    """Every derived graph a census asks about: the cone, each G - uv and
+    each G + uv."""
+    yield ("cone",)
+    for u, v in g.edges:
+        yield ("delete_edge", u, v)
+    for u, v in combinations(range(g.order), 2):
+        if not g.has_edge(u, v):
+            yield ("add_edge", u, v)
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
+def test_derived_summary_matches_fresh(fixture, request):
+    # the summary folded from the parent's tables against one built from the
+    # host's own tables; a fresh parent per graph keeps the session fixtures'
+    # caches free of derived hosts
+    for g in request.getfixturevalue(fixture):
+        parent = Graph(g.order, g.edges)
+        for edit in _edits(parent):
+            h = _derived(parent, *edit)
+            assert _char_summary(h) == _char_summary(Graph(h.order, h.edges)), (g, edit)
 
 
 def test_decomposition_witness_kv_lines():

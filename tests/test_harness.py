@@ -1,10 +1,13 @@
+import gc
 import io
 import json
 import multiprocessing
 import os
+import weakref
 
 import pytest
 
+import matchext._engine as _engine
 import matchext.harness as harness
 from matchext import (
     CensusResult,
@@ -17,6 +20,7 @@ from matchext import (
     family_cliques_plus_edge,
     family_cliques_plus_edge_cone,
     family_gadget_chain,
+    nkd_holds,
     run_census,
     valid_triples,
     write_graph6,
@@ -293,6 +297,42 @@ def test_check_c1_builds_no_cone_when_inapplicable():
     rep = check_C1(g, NkdParams(2, 1, 0))
     assert rep.inapplicable == {"not-an-nkd-graph": 1}
     assert ("derived", "cone") not in g._cache
+
+
+def test_derived_hosts_keep_no_tables_or_parent_links():
+    graphs = [cycle(6), complete(5), family_cliques_plus_edge(2, 1),
+              disconnected_sample(20, seed=7)[0]]
+    for g in graphs:
+        check_graph(g)
+        hosts = [h for key, h in g._cache.items()
+                 if isinstance(key, tuple) and key[0] == "derived"]
+        assert hosts, g
+        for h in hosts:
+            # the summary was folded from the parent's tables, and the
+            # link to the parent was dropped once it was built
+            assert "char_summary" in h._cache
+            assert not {"nu_table", "odd_table", "derived_from"} & set(h._cache)
+
+
+def test_checked_graph_is_freed_without_the_cycle_collector():
+    g = family_cliques_plus_edge(2, 1)
+    check_graph(g)
+    ref = weakref.ref(g)
+    gc.disable()
+    try:
+        del g
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_derived_summary_respects_table_limit(monkeypatch):
+    g = cycle(5)
+    monkeypatch.setattr(_engine, "TABLE_LIMIT", 5)
+    assert not nkd_holds(g, NkdParams(1, 1, 0))
+    cone = harness._derived(g, "cone")
+    with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
+        nkd_holds(cone, NkdParams(2, 0, 0))
 
 
 def test_run_census_small_stream_all_theorems():
