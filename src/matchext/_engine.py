@@ -3,10 +3,16 @@
 Graphs are immutable, so every table computed here is memoised on the host
 instance (``g._cache``) and never invalidated.  Vertex subsets are plain
 Python ints used as bitmasks.
+
+The subset tables rest on :func:`component_table`, which builds each entry
+from smaller entries with no flood fill.  The flood fill (:func:`spread`,
+:func:`component_split`, :func:`odd_component_count`) stays for the oracles
+and slow paths that must not read the tables.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 from .errors import SearchCapExceeded
@@ -124,16 +130,48 @@ def nu_table(g: Graph) -> list[int]:
     return cached(g, "nu_table", build)
 
 
-def odd_table(g: Graph) -> list[int]:
-    """Odd-component count of every induced subgraph, indexed by bitmask."""
+def component_table(g: Graph) -> array:
+    """The component of the lowest vertex in every induced subgraph, as a
+    vertex mask, indexed by bitmask; 4 bytes per subset.
+
+    Each entry is built from smaller ones.  With v the lowest vertex of M
+    and R = M - v, the components of G[R] are ``table[R]``, then
+    ``table[R']`` with R' = R minus that component, and so on; v's
+    component is v plus those that touch v's neighbours.  The walk stops
+    once R holds no neighbour of v.  Chasing the same way from M lists the
+    components of G[M] in order of lowest vertex.
+    """
 
     def build():
         _require_table(g)
         adj = adjacency_masks(g)
+        table = array("I", [0]) * (1 << g.order)
+        for mask in range(1, 1 << g.order):
+            low = mask & -mask
+            near = adj[low.bit_length() - 1]
+            comp, rest = low, mask ^ low
+            while rest & near:
+                c = table[rest]
+                if c & near:
+                    comp |= c
+                rest ^= c
+            table[mask] = comp
+        return table
+
+    return cached(g, "comp_table", build)
+
+
+def odd_table(g: Graph) -> list[int]:
+    """Odd-component count of every induced subgraph, indexed by bitmask:
+    the lowest vertex's component from :func:`component_table` plus the
+    count on the rest."""
+
+    def build():
+        lc = component_table(g)
         table = [0] * (1 << g.order)
         for mask in range(1, 1 << g.order):
-            comp = spread(adj, mask & -mask, mask)
-            table[mask] = table[mask & ~comp] + (comp.bit_count() & 1)
+            c = lc[mask]
+            table[mask] = table[mask ^ c] + (c.bit_count() & 1)
         return table
 
     return cached(g, "odd_table", build)

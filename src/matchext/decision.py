@@ -246,21 +246,28 @@ def _derived_tables(h: Graph, parent: Graph, method: str, args: tuple) -> tuple[
     The two lists are transient copies for one summary fold and are never
     cached on ``h``.  Only subsets M holding both ends of an edited edge uv
     change.  ``nu[M]`` gains the edge (G + uv) or takes one matching step
-    at u without it (G - uv).  The odd count changes only when u's
-    component C without uv misses v: then uv merges C with v's component
-    (G + uv) or was a bridge (G - uv), and the count is that of u's
-    component in ``h`` plus the parent's count on the rest, which the edit
-    does not touch.  For the cone with apex a, ``nu[M + a]`` is ``nu[M]``
-    plus one when M leaves a vertex exposed, and R + a is connected.
+    at u without it (G - uv).  The odd count moves by 2 or not at all; the
+    components it depends on are chased through the parent's component
+    table (:func:`_component_of`):
+
+    * G + uv: when u's component Cu in G[M] misses v and both Cu and v's
+      component are odd, the edge merges two odd components into one even
+      one, and the count drops by 2.
+    * G - uv: with Cv the component of v in G[M - u], the edge was a bridge
+      when u has no other neighbour in Cv.  It then splits u's component C
+      in G[M] into Cv and C - Cv, and the count rises by 2 when both are odd.
+
+    For the cone with apex a, ``nu[M + a]`` is ``nu[M]`` plus one when M
+    leaves a vertex exposed, and R + a is connected.
     """
     _engine._require_table(h)
     nu, odd = _engine.nu_table(parent), _engine.odd_table(parent)
     if method == "cone":
         return (nu + [k + (m.bit_count() > 2 * k) for m, k in enumerate(nu)],
                 odd + [(m.bit_count() + 1) & 1 for m in range(len(odd))])
+    lc = _engine.component_table(parent)
     u, v = args
     adj_h = _engine.adjacency_masks(h)
-    adj = _engine.adjacency_masks(parent) if method == "add_edge" else adj_h
     bu, bv = 1 << u, 1 << v
     both = bu | bv
     rest = _engine.full_mask(h) ^ both
@@ -272,36 +279,42 @@ def _derived_tables(h: Graph, parent: Graph, method: str, args: tuple) -> tuple[
         if method == "add_edge":
             if nu[x] >= k:
                 nu_h[m] = k + 1
-        elif nu[m ^ bu] < k:
-            # every maximum matching of G[M] covers u: keep k only if one
-            # uses an edge of u other than uv
-            ws = adj_h[u] & m
-            while ws:
-                b = ws & -ws
-                if nu[m ^ bu ^ b] == k - 1:
-                    break
-                ws ^= b
-            else:
-                nu_h[m] = k - 1
-        # grow C layer by layer, stopping once a layer reaches v
-        c = layer = bu
-        while layer:
-            grown = 0
-            while layer:
-                b = layer & -layer
-                grown |= adj[b.bit_length() - 1]
-                layer ^= b
-            if grown & bv:
-                break
-            layer = grown & m & ~c
-            c |= layer
+            cu = _component_of(lc, m, bu)
+            if not cu & bv and cu.bit_count() & 1:
+                # uv merges two odd components into one even one
+                if _component_of(lc, m ^ cu, bv).bit_count() & 1:
+                    odd_h[m] -= 2
         else:
-            if method == "add_edge":
-                c = _engine.spread(adj_h, c | bv, m)
-            odd_h[m] = odd[m ^ c] + (c.bit_count() & 1)
+            if nu[m ^ bu] < k:
+                # every maximum matching of G[M] covers u: keep k only if one
+                # uses an edge of u other than uv
+                ws = adj_h[u] & m
+                while ws:
+                    b = ws & -ws
+                    if nu[m ^ bu ^ b] == k - 1:
+                        break
+                    ws ^= b
+                else:
+                    nu_h[m] = k - 1
+            cv = _component_of(lc, m ^ bu, bv)
+            if not adj_h[u] & cv and cv.bit_count() & 1:
+                # uv was a bridge: u's component splits into Cv and the rest
+                if (_component_of(lc, m, bu).bit_count() - cv.bit_count()) & 1:
+                    odd_h[m] += 2
         if not x:
             return nu_h, odd_h
         x = (x - 1) & rest
+
+
+def _component_of(lc, m: int, bw: int) -> int:
+    """The component holding the vertex bit ``bw`` in G[m], found by walking
+    the components of G[m] in ``lc`` (a component table) in order of lowest
+    vertex; ``bw`` must lie in ``m``."""
+    c = lc[m]
+    while not c & bw:
+        m ^= c
+        c = lc[m]
+    return c
 
 
 def _characterization_holds(g: Graph, n: int, k: int, d: int) -> bool:
@@ -529,12 +542,13 @@ def _separator_layer(g: Graph, size: int) -> dict[tuple[int, int], list]:
     Keyed by (number of odd components, edge mask); each list holds
     ``(subset, smask, nu[S])`` in lexicographic subset order, so the first
     entry meeting a matching requirement is the one a subset scan finds.
-    Built once per (graph, size) with one flood fill per component.
+    Built once per (graph, size); each component of G - S is one lookup in
+    the graph's component table.
     """
 
     def build():
         nu = _engine.nu_table(g)
-        adj = _engine.adjacency_masks(g)
+        lc = _engine.component_table(g)
         full = _engine.full_mask(g)
         layer: dict[tuple[int, int], list] = {}
         for subset in combinations(range(g.order), size):
@@ -542,7 +556,7 @@ def _separator_layer(g: Graph, size: int) -> dict[tuple[int, int], list]:
             rest = full & ~smask
             edge = odd = 0
             while rest:
-                comp = _engine.spread(adj, rest & -rest, rest)
+                comp = lc[rest]
                 rest ^= comp
                 bits = comp.bit_count()
                 if bits & 1:

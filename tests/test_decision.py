@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+import matchext._engine as _engine
 from matchext import (
     BlockedExtension,
     Graph,
@@ -26,8 +27,9 @@ from matchext import (
     verify_decomposition_witness,
     verify_witness,
 )
-from matchext.decision import _char_summary, _scan_decomposition_witness
+from matchext.decision import _char_summary, _derived_tables, _scan_decomposition_witness
 from matchext.harness import _derived
+from matchext.structure import components, odd_count_after_deletion
 from conftest import (
     complete,
     complete_bipartite,
@@ -365,6 +367,31 @@ def test_separator_layer_matches_subset_scan(census7, disconnected1000, order8_s
     assert found > 1000
 
 
+def test_oracles_do_not_read_the_component_table(monkeypatch):
+    g = family_cliques_plus_edge(2, 1)
+    p, edge = NkdParams(2, 1, 0), (6, 7)
+    failures = [is_nkd_by_characterization(g, p).witness, is_nkd_by_definition(g, p).witness]
+    assert all(failures)
+    dp = NkdParams(2, 1, 2)
+    found = find_decomposition_witness(g, dp, edge, "d1")
+    assert found is not None
+
+    def refuse(g):
+        raise AssertionError("an oracle read the component table")
+
+    monkeypatch.setattr(_engine, "component_table", refuse)
+    fresh = Graph(g.order, g.edges)
+    with pytest.raises(AssertionError, match="component table"):
+        _engine.odd_table(Graph(g.order, g.edges))
+    assert _scan_decomposition_witness(fresh, dp, edge, "d1") == found
+    assert all(verify_witness(fresh, p, w) for w in failures)
+    assert verify_decomposition_witness(fresh, dp, found)
+    assert components(fresh).components == ((0, 1, 2), (3, 4, 5), (6, 7))
+    assert odd_count_after_deletion(fresh, (0, 1)) == 2
+    assert odd_count_after_deletion(fresh, (6,)) == 3
+    assert "comp_table" not in fresh._cache
+
+
 def test_separator_layer_built_once_per_size():
     h = family_cliques_plus_edge(2, 1)
     assert find_decomposition_witness(h, NkdParams(2, 1, 2), (6, 7), "d1") is not None
@@ -389,14 +416,17 @@ def _edits(g):
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
 def test_derived_summary_matches_fresh(fixture, request):
-    # the summary folded from the parent's tables against one built from the
-    # host's own tables; a fresh parent per graph keeps the session fixtures'
-    # caches free of derived hosts
+    # the tables corrected from the parent's, and the summary folded from
+    # them, against the host's own; a fresh parent per graph keeps the
+    # session fixtures' caches free of derived hosts
     for g in request.getfixturevalue(fixture):
         parent = Graph(g.order, g.edges)
         for edit in _edits(parent):
             h = _derived(parent, *edit)
-            assert _char_summary(h) == _char_summary(Graph(h.order, h.edges)), (g, edit)
+            fresh = Graph(h.order, h.edges)
+            tables = _derived_tables(h, parent, edit[0], edit[1:])
+            assert tables == (_engine.nu_table(fresh), _engine.odd_table(fresh)), (g, edit)
+            assert _char_summary(h) == _char_summary(fresh), (g, edit)
 
 
 def test_decomposition_witness_kv_lines():
