@@ -27,7 +27,7 @@ from .errors import (
     SearchCapExceeded,
 )
 from .graph import Graph
-from .graphio import read_edge_list, read_graph6, write_edge_list, write_graph6
+from .graphio import graph6_records, read_edge_list, read_graph6, write_edge_list, write_graph6
 from .harness import CENSUS_ORDER_CAP, THEOREM_IDS, run_census
 
 EXIT_OK = 0
@@ -66,18 +66,20 @@ def _pick_format(path: str, explicit: str | None) -> str:
 
 
 def _load_graph(path: str, explicit_format: str | None) -> Graph:
+    """The edge list, or the first graph6 record, of the input."""
     fmt = _pick_format(path, explicit_format)
     with _open_input(path) as stream:
-        text = stream.read()
-    try:
-        if fmt == "g6":
-            for line in text.splitlines():
-                if line.strip() and line.strip() != ">>graph6<<":
-                    return read_graph6(line.strip())
-            raise FormatError("no graph6 line found in input")
-        return read_edge_list(text)
-    except GraphConstructionError as exc:
-        raise FormatError(f"invalid graph in input: {exc}") from exc
+        if fmt == "el":
+            try:
+                return read_edge_list(stream.read())
+            except GraphConstructionError as exc:
+                raise FormatError(f"invalid graph in input: {exc}") from exc
+        for lineno, record in graph6_records(stream):
+            try:
+                return read_graph6(record)
+            except FormatError as exc:
+                raise FormatError(f"line {lineno}: {exc}", exc.offset) from None
+    raise FormatError("no graph6 line found in input")
 
 
 def _write_graph(g: Graph, path: str, fmt: str) -> None:

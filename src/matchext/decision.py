@@ -21,7 +21,8 @@ from typing import Union
 from . import _engine
 from .errors import ParameterError, SearchCapExceeded
 from .graph import Edge, Graph
-from .matching import Matching, _berge_blocker, _matchings_in_mask
+from .matching import Matching, _berge_blocker, _matchings_in_mask, maximum_matching
+from .structure import components, is_factor_critical, odd_count_after_deletion
 
 DECIDER_CAP = 16
 WITNESS_SEARCH_CAP = 14
@@ -202,7 +203,7 @@ def _char_summary(g: Graph) -> list[list[int]]:
     minus |S| over subsets S of size s whose induced subgraph has a
     k-matching; suffix-maximised over s so row lookups answer "any size >= s".
 
-    A graph built by ``harness._derived`` carries a ``"derived_from"`` link
+    A graph built by :func:`_derived` carries a ``"derived_from"`` link
     to its parent; its summary is folded from the parent's tables with
     per-edit corrections (:func:`_derived_tables`) instead of its own, and
     the link is dropped so that no parent <-> child cycle survives."""
@@ -237,6 +238,20 @@ def _char_summary(g: Graph) -> list[list[int]]:
         return rows
 
     return _engine.cached(g, "char_summary", build)
+
+
+def _derived(g: Graph, method: str, *args) -> Graph:
+    """``getattr(g, method)(*args)`` (``add_edge``, ``delete_edge`` or
+    ``cone``), cached on the parent so that rules and triples share it.  The
+    host links to its parent (``"derived_from"``) until its summary is built
+    from the parent's tables by :func:`_derived_tables`."""
+
+    def build():
+        host = getattr(g, method)(*args)
+        host._cache["derived_from"] = (g, method, args)
+        return host
+
+    return _engine.cached(g, ("derived", method) + args, build)
 
 
 def _derived_tables(h: Graph, parent: Graph, method: str, args: tuple) -> tuple[list[int], list[int]]:
@@ -393,9 +408,6 @@ def verify_witness(g: Graph, params: NkdParams, witness: Witness) -> bool:
 
 
 def _verify_witness(g: Graph, params: NkdParams, witness: Witness) -> bool:
-    from .matching import maximum_matching
-    from .structure import odd_count_after_deletion
-
     n, k, d = params.as_tuple()
 
     def nu_without(removed) -> int:
@@ -623,9 +635,6 @@ def verify_decomposition_witness(g: Graph, params: NkdParams, w: DecompositionWi
 
 
 def _verify_decomposition_witness(g: Graph, params: NkdParams, w: DecompositionWitness) -> bool:
-    from .matching import maximum_matching
-    from .structure import components, is_factor_critical
-
     n, k, d = params.as_tuple()
     u, v = w.edge
     if not g.has_edge(u, v):

@@ -50,9 +50,7 @@ def read_graph6(line: str) -> Graph:
     bits must be zero so that decoding followed by encoding is the
     identity on canonical input.
     """
-    s = line.rstrip("\r\n")
-    if s.startswith(_HEADER):
-        s = s[len(_HEADER):]
+    s = line.rstrip("\r\n").removeprefix(_HEADER)
     if not s:
         raise FormatError("empty graph6 line", offset=0)
     vals = []
@@ -108,6 +106,18 @@ def read_graph6(line: str) -> Graph:
                 offset=data_start + nbytes - 1,
             )
     return Graph(n, edges)
+
+
+def graph6_records(lines):
+    """``(line_number, record)`` for every graph6 record in ``lines``, any
+    iterable of text lines such as an open text file.  Lines are numbered
+    from 1; a record is a line stripped of surrounding whitespace and of one
+    leading '>>graph6<<' header, and lines left empty hold none.  Records are
+    not decoded."""
+    for lineno, line in enumerate(lines, start=1):
+        record = line.strip().removeprefix(_HEADER)
+        if record:
+            yield lineno, record
 
 
 def write_edge_list(g: Graph) -> str:

@@ -24,10 +24,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import _engine
 from .decision import (
     NkdParams,
     WITNESS_SEARCH_CAP,
+    _derived,
     _scan_decomposition_witness,
     find_decomposition_witness,
     is_nkd_by_characterization,
@@ -36,7 +36,7 @@ from .decision import (
 )
 from .errors import FormatError, ParameterError, SearchCapExceeded
 from .graph import Graph
-from .graphio import read_graph6, write_graph6
+from .graphio import graph6_records, read_graph6, write_graph6
 from .structure import is_bipartite
 
 #: Census refusal threshold: the decomposition searches inside D1/D3 make
@@ -104,21 +104,6 @@ def _params_ok(g: Graph, p: NkdParams) -> bool:
         return True
     except ParameterError:
         return False
-
-
-def _derived(g: Graph, method: str, *args) -> Graph:
-    """``getattr(g, method)(*args)``, cached on the parent so the derived
-    graph's decisions are shared across rules and triples.  The host is
-    linked to its parent (``"derived_from"``), so that its characterization
-    summary is built from the parent's tables; building the summary drops
-    the link."""
-
-    def build():
-        host = getattr(g, method)(*args)
-        host._cache["derived_from"] = (g, method, args)
-        return host
-
-    return _engine.cached(g, ("derived", method) + args, build)
 
 
 def _lowered(g: Graph, p: NkdParams):
@@ -222,8 +207,7 @@ RULES = {
 THEOREM_IDS = tuple(RULES)
 
 
-def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None,
-              graph_index: int, graph_ref: str | None) -> TheoremReport:
+def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: int) -> TheoremReport:
     """Classify one (graph, params) instance of rule ``tid`` and check its
     conclusion on every host.  A violation is decided again from scratch on
     freshly built graphs, which carry no caches, before it is reported; the
@@ -241,8 +225,7 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None,
     rep.applicable = 1
 
     def violation(context: str, detail: str) -> None:
-        ref = write_graph6(g) if graph_ref is None else graph_ref
-        rep.violations.append(Violation(graph_index, ref, p.as_tuple(), context, detail))
+        rep.violations.append(Violation(graph_index, write_graph6(g), p.as_tuple(), context, detail))
 
     for context, host, target, edge in rule.hosts(g, p):
         if rule.variant is None:
@@ -277,8 +260,8 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None,
 
 def _checker(tid: str):
     def check(g: Graph, p: NkdParams, cap: int | None = None,
-              graph_index: int = 0, graph_ref: str | None = None) -> TheoremReport:
-        return _run_rule(tid, g, p, cap, graph_index, graph_ref)
+              graph_index: int = 0) -> TheoremReport:
+        return _run_rule(tid, g, p, cap, graph_index)
 
     check.__name__ = check.__qualname__ = f"check_{tid}"
     check.__doc__ = RULES[tid].doc
@@ -352,31 +335,28 @@ class CensusResult:
 
 
 def check_graph(g: Graph, theorems=THEOREM_IDS, cap: int | None = None,
-                graph_index: int = 0, graph_ref: str | None = None) -> dict[str, TheoremReport]:
+                graph_index: int = 0) -> dict[str, TheoremReport]:
     """Run the selected checkers over every valid triple of one graph."""
     out = {tid: TheoremReport(tid, graphs_examined=1) for tid in theorems}
     for p in valid_triples(g.order):
         for tid in theorems:
-            instance = CHECKERS[tid](
-                g, p, cap=cap, graph_index=graph_index, graph_ref=graph_ref
-            )
+            instance = CHECKERS[tid](g, p, cap=cap, graph_index=graph_index)
             instance.graphs_examined = 0
             out[tid].merge(instance)
     return out
 
 
 def _census_worker(item, theorems, max_order, cap):
-    """Decode and check one numbered stream line: ``(lineno, decode error,
+    """Decode and check one numbered graph6 record: ``(lineno, decode error,
     per-theorem reports)``, with no reports for a graph over ``max_order``."""
-    index, (lineno, line) = item
+    index, (lineno, record) = item
     try:
-        g = read_graph6(line)
+        g = read_graph6(record)
     except FormatError as exc:
         return lineno, str(exc), None
     if g.order > max_order:
         return lineno, None, None
-    return lineno, None, check_graph(g, theorems, cap=cap, graph_index=index,
-                                     graph_ref=line.strip())
+    return lineno, None, check_graph(g, theorems, cap=cap, graph_index=index)
 
 
 def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
@@ -386,8 +366,8 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
     ``lines`` is any iterable of graph6 lines, such as an open text file,
     and is consumed lazily: each graph is decoded, checked and merged into
     the reports as its result arrives, so memory holds the reports, not the
-    stream.  Blank lines and a '>>graph6<<' header are ignored but still
-    counted in line numbers.  Decode failures become per-line diagnostics
+    stream.  Records are read by :func:`graphio.graph6_records`, which
+    numbers every line.  Decode failures become per-line diagnostics
     and processing continues.  Graphs larger than ``max_order`` are counted
     but not processed; the deciders' order cap is ``max_order + 1`` or
     ``CENSUS_ORDER_CAP``, whichever is larger.  ``jobs > 1`` checks graphs
@@ -413,8 +393,7 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
         )
     work = functools.partial(_census_worker, theorems=theorems, max_order=max_order,
                              cap=max(max_order + 1, CENSUS_ORDER_CAP))
-    items = enumerate((lineno, raw) for lineno, raw in enumerate(lines, start=1)
-                      if raw.strip() not in ("", ">>graph6<<"))
+    items = enumerate(graph6_records(lines))
 
     result = CensusResult(0, 0, [], {tid: TheoremReport(tid) for tid in theorems})
     pool = multiprocessing.Pool(jobs) if jobs > 1 else None

@@ -37,6 +37,21 @@ def disjoint_union(*graphs: Graph) -> Graph:
     return Graph(offset, edges)
 
 
+#: One line of each kind a graph6 stream may hold, with its record: the
+#: graph6 the line decodes to, None for a line holding no record, or
+#: "decode error".
+GRAPH6_LINE_KINDS = [
+    ("Dhc", "Dhc"),
+    ("Dhc  ", "Dhc"),
+    ("  Dhc", "Dhc"),
+    (">>graph6<<Dhc", "Dhc"),
+    (">>graph6<<", None),
+    ("Dhc\x0cbad", "decode error"),
+    ("bad!", "decode error"),
+    ("", None),
+]
+
+
 # -- independent matching oracle (recursion over edges, no package code) ------
 
 def brute_force_nu(g: Graph) -> int:

@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 import matchext
+import matchext.cli as cli
+import matchext.harness as harness
 from matchext import family_cliques_plus_edge, write_edge_list, write_graph6
 from matchext.cli import main
-from conftest import complete, connected_census, cycle
+from conftest import GRAPH6_LINE_KINDS, complete, connected_census, cycle
 
 
 @pytest.fixture
@@ -342,6 +344,36 @@ def test_census_line_numbers_follow_line_endings(capsys, tmp_path):
     assert "graphs examined: 2" in out
     errors = json.loads(report.read_text())["decode_errors"]
     assert [e["line"] for e in errors] == [1, 3]
+
+
+@pytest.mark.parametrize("line, record", GRAPH6_LINE_KINDS)
+def test_check_and_census_read_the_same_records(capsys, tmp_path, monkeypatch, line, record):
+    # K5 follows, so a line holding no record leaves K5 as the first record
+    k5 = write_graph6(complete(5))
+    stream = tmp_path / "s.g6"
+    stream.write_text(f"{line}\n{k5}\n")
+    decoded = {cli: [], harness: []}
+    for module, seen in decoded.items():
+        def recording(text, real=module.read_graph6, seen=seen):
+            seen.append(real(text))
+            return seen[-1]
+
+        monkeypatch.setattr(module, "read_graph6", recording)
+    check_code, _, check_err = run(capsys, "check", "--graph", str(stream), "--n", "1",
+                                   "--k", "0", "--d", "0", "--method", "characterization")
+    report = tmp_path / "report.json"
+    census_code, _, _ = run(capsys, "census", "--input", str(stream), "--theorems", "A3",
+                            "--report", str(report))
+    errors = json.loads(report.read_text())["decode_errors"]
+    if record == "decode error":
+        assert check_code == census_code == 3
+        assert [e["line"] for e in errors] == [1]
+        assert check_err == f"decode error: line 1: {errors[0]['error']}\n"
+        assert decoded[cli] == [] and len(decoded[harness]) == 1
+    else:
+        assert check_code in (0, 1) and census_code == 0 and errors == []
+        assert [write_graph6(g) for g in decoded[cli]] == [record or k5]
+        assert decoded[harness][:1] == decoded[cli]
 
 
 def _matchext_env() -> dict:

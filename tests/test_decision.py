@@ -27,8 +27,12 @@ from matchext import (
     verify_decomposition_witness,
     verify_witness,
 )
-from matchext.decision import _char_summary, _derived_tables, _scan_decomposition_witness
-from matchext.harness import _derived
+from matchext.decision import (
+    _char_summary,
+    _derived,
+    _derived_tables,
+    _scan_decomposition_witness,
+)
 from matchext.structure import components, odd_count_after_deletion
 from conftest import (
     complete,

@@ -39,6 +39,7 @@ from matchext.harness import (
     check_D3,
 )
 from conftest import (
+    GRAPH6_LINE_KINDS,
     complete,
     complete_bipartite,
     connected_census,
@@ -178,11 +179,9 @@ def test_check_a6_pair():
     assert check_A6ii(cycle(6), NkdParams(0, 1, 0)).inapplicable == {"n<2": 1}
 
 
-def test_violation_reporting_via_forced_disagreement(monkeypatch):
-    # plumbing test: force the cached decider to lie; the fresh recheck says
-    # the conclusion holds, which must abort instead of reporting
-    h = complete(7)
-    p = NkdParams(3, 0, 0)
+def _force_order7_not_100(monkeypatch, recheck_too: bool) -> None:
+    """Force the cached decider to say an order-7 graph is not a
+    (1,0,0)-graph; with ``recheck_too`` the fresh recheck says so as well."""
     real = harness.nkd_holds
 
     def lying(g, q, cap=None):
@@ -190,35 +189,46 @@ def test_violation_reporting_via_forced_disagreement(monkeypatch):
             return False
         return real(g, q, cap=cap)
 
-    monkeypatch.setattr(harness, "nkd_holds", lying)
-    with pytest.raises(RuntimeError, match="non-reproducible"):
-        check_A3(h, p)
-
-
-def test_violation_reporting_when_recheck_confirms(monkeypatch):
-    h = complete(7)
-    p = NkdParams(3, 0, 0)
-    real_holds = harness.nkd_holds
-
-    def lying(g, q, cap=None):
-        if q == NkdParams(1, 0, 0) and g.order == 7:
-            return False
-        return real_holds(g, q, cap=cap)
-
     class LyingVerdict:
         holds = False
 
     monkeypatch.setattr(harness, "nkd_holds", lying)
-    monkeypatch.setattr(
-        harness, "is_nkd_by_characterization", lambda g, q, cap=None: LyingVerdict()
-    )
-    rep = check_A3(h, p)
+    if recheck_too:
+        monkeypatch.setattr(
+            harness, "is_nkd_by_characterization", lambda g, q, cap=None: LyingVerdict()
+        )
+
+
+def test_violation_reporting_via_forced_disagreement(monkeypatch):
+    # plumbing test: the fresh recheck says the conclusion holds, which must
+    # abort instead of reporting
+    _force_order7_not_100(monkeypatch, recheck_too=False)
+    with pytest.raises(RuntimeError, match="non-reproducible"):
+        check_A3(complete(7), NkdParams(3, 0, 0))
+
+
+def test_violation_reporting_when_recheck_confirms(monkeypatch):
+    h = complete(7)
+    _force_order7_not_100(monkeypatch, recheck_too=True)
+    rep = check_A3(h, NkdParams(3, 0, 0))
     assert not rep.passed
     violation = rep.violations[0]
     assert violation.params == (3, 0, 0)
     assert violation.context == "lowered params (1,0,0)"
     assert "1,0,0" in violation.detail
     assert violation.graph6 == write_graph6(h)
+
+
+@pytest.mark.parametrize("line", [">>graph6<<F~~~w", "~??F~~~w"])
+def test_violation_names_the_graph_by_its_canonical_graph6(monkeypatch, line):
+    # the first line carries a header, or encodes K7 in the long form;
+    # either way the report names the graph as write_graph6 does
+    _force_order7_not_100(monkeypatch, recheck_too=True)
+    result = run_census([line, write_graph6(cycle(5))], theorems=("A3",))
+    violations = result.reports["A3"].violations
+    assert violations and result.graphs == 2
+    assert {(v.graph_index, v.graph6) for v in violations} == {(0, "F~~~w")}
+    assert write_graph6(complete(7)) == "F~~~w"
 
 
 def test_deletion_iff_recheck_and_reporting(monkeypatch):
@@ -406,6 +416,7 @@ def test_run_census_rejects_jobs_outside_cpu_count(monkeypatch, jobs):
 def test_run_census_parallel_determinism():
     lines = [write_graph6(g) for g in connected_census(4)]
     lines.insert(2, "garbage")
+    lines += [line for line, _ in GRAPH6_LINE_KINDS]
     sequential = run_census(lines, theorems=("A3", "B1", "D1"))
     parallel = run_census(lines, theorems=("A3", "B1", "D1"), jobs=2)
     streamed = run_census((line for line in lines), theorems=("A3", "B1", "D1"), jobs=2)

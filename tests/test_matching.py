@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import matchext._engine as _engine
 from matchext import (
     Matching,
     ParameterError,
@@ -180,6 +181,17 @@ def test_berge_cap():
     with pytest.raises(SearchCapExceeded, match="20"):
         berge_violating_set(big_star, 1)
     assert berge_violating_set(big_star, 1, cap=21) == (0,)
+
+
+def test_berge_flood_fills_above_the_table_limit():
+    # order 25 is past the subset tables' limit: each subset is flood
+    # filled, which answers at once when a small set violates
+    star, edgeless = complete_bipartite(1, 24), empty(25)
+    assert star.order > _engine.TABLE_LIMIT
+    assert berge_violating_set(star, 1, cap=30) == (0,)
+    assert berge_violating_set(edgeless, 1, cap=30) == ()
+    for g in (star, edgeless):
+        assert "odd_table" not in g._cache and "comp_table" not in g._cache
 
 
 @settings(max_examples=80, deadline=None)
