@@ -61,6 +61,20 @@ def bits_of(mask: int) -> list[int]:
     return out
 
 
+def masks_of_size(order: int, size: int):
+    """Every ``size``-vertex subset of ``range(order)`` as a bitmask, in
+    increasing numeric order (Gosper's next-combination step)."""
+    if size == 0:
+        yield 0
+        return
+    m, end = (1 << size) - 1, 1 << order
+    while m < end:
+        yield m
+        low = m & -m
+        up = m + low
+        m = (((up ^ m) >> 2) // low) | up
+
+
 def spread(adj: tuple[int, ...], seed: int, mask: int) -> int:
     """Vertices of ``mask`` reachable from the ``seed`` bits within ``mask``."""
     comp = seed & mask
@@ -105,7 +119,10 @@ def nu_table(g: Graph) -> list[int]:
     """Maximum matching size of every induced subgraph, indexed by bitmask.
 
     Classic subset DP: the lowest vertex of the mask is either unmatched or
-    matched to one of its in-mask neighbours.
+    matched to one of its in-mask neighbours.  Since ``nu[R - b] <= nu[R]``
+    and ``nu[M] <= nu[R] + 1`` for R = M minus its lowest vertex, the
+    first neighbour b with ``nu[R - b] == nu[R]`` already gives the
+    maximum, and the scan stops there.
     """
 
     def build():
@@ -114,15 +131,14 @@ def nu_table(g: Graph) -> list[int]:
         table = [0] * (1 << g.order)
         for mask in range(1, 1 << g.order):
             low = mask & -mask
-            v = low.bit_length() - 1
             rest = mask ^ low
             best = table[rest]
-            m = adj[v] & rest
+            m = adj[low.bit_length() - 1] & rest
             while m:
                 b = m & -m
-                cand = 1 + table[rest ^ b]
-                if cand > best:
-                    best = cand
+                if table[rest ^ b] == best:
+                    best += 1
+                    break
                 m ^= b
             table[mask] = best
         return table

@@ -171,16 +171,49 @@ def _check_cap(g: Graph, cap: int | None, default: int, what: str) -> None:
 
 
 def is_nkd_by_definition(g: Graph, params: NkdParams, cap: int | None = None) -> Verdict:
-    """Decide straight from the definition by scanning every n-subset and
-    every k-matching of its complement.
+    """Decide straight from the definition, reading only the matching table.
 
-    Failure returns the first violation in deterministic order: deleted
-    subsets lexicographic, matchings in canonical enumeration order; the
-    blocking set of an inextensible matching is the smallest-first
-    lexicographically least one.
+    The definition fails exactly when some n-set S leaves no k-matching, or
+    some n-set S and k-matching M of G - S leave G - S - V(M) with
+    deficiency above d.  The sets T = S + V(M) of the second case are
+    exactly the (n + 2k)-sets with ``nu[T] >= k``: a k-matching of G[T]
+    covers 2k of its vertices and the other n form S.  So the verdict is
+    one pass over the n-sets and one over the (n + 2k)-sets.
+
+    Only on failure does the S-by-S, matching-by-matching scan run
+    (:func:`_scan_definition`), to name the first violation in
+    deterministic order: deleted subsets lexicographic, matchings in
+    canonical enumeration order; the blocking set of an inextensible
+    matching is the smallest-first lexicographically least one.
     """
     validate_params(g, params)
     _check_cap(g, cap, DECIDER_CAP, "decider")
+    if _definition_holds(g, *params.as_tuple()):
+        return Verdict(True)
+    verdict = _scan_definition(g, params)
+    if verdict.holds:
+        raise AssertionError("the (n + 2k)-set pass reported a violation the scan cannot find")
+    return verdict
+
+
+def _definition_holds(g: Graph, n: int, k: int, d: int) -> bool:
+    nu = _engine.nu_table(g)
+    full = _engine.full_mask(g)
+    if any(nu[full ^ s] < k for s in _engine.masks_of_size(g.order, n)):
+        return False
+    # deficiency |V - T| - 2 nu[V - T] > d, with |V - T| - d even
+    need = (g.order - n - 2 * k - d) // 2
+    return not any(
+        nu[t] >= k and nu[full ^ t] < need
+        for t in _engine.masks_of_size(g.order, n + 2 * k)
+    )
+
+
+def _scan_definition(g: Graph, params: NkdParams) -> Verdict:
+    """The definition checked literally, for every n-subset S in
+    lexicographic order and every k-matching of G - S in canonical order;
+    the witness of :func:`is_nkd_by_definition`, and the oracle its
+    (n + 2k)-set pass is tested against."""
     n, k, d = params.as_tuple()
     nu = _engine.nu_table(g)
     full = _engine.full_mask(g)

@@ -12,6 +12,7 @@ from matchext import (
     NoKMatching,
     ParameterError,
     SearchCapExceeded,
+    Verdict,
     family_blowup_bipartite,
     family_cliques_plus_edge,
     family_cliques_plus_edge_cone,
@@ -27,11 +28,13 @@ from matchext import (
     verify_decomposition_witness,
     verify_witness,
 )
+import matchext.decision as decision
 from matchext.decision import (
     _char_summary,
     _derived,
     _derived_tables,
     _scan_decomposition_witness,
+    _scan_definition,
 )
 from matchext.structure import components, odd_count_after_deletion
 from conftest import (
@@ -279,6 +282,41 @@ def test_definition_decider_vs_naive_oracle():
     for g in random_sample(30, [5, 6], seed=11):
         for p in valid_triples(g.order):
             assert is_nkd_by_definition(g, p).holds == naive(g, p), (g, p)
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
+def test_definition_pass_matches_the_scan(fixture, request):
+    # the (n + 2k)-set pass decides, the S-by-S scan names the witness;
+    # the verdict and witness must be the scan's on every triple
+    kinds = set()
+    for g in request.getfixturevalue(fixture):
+        g = Graph(g.order, g.edges)
+        for p in valid_triples(g.order):
+            got = is_nkd_by_definition(g, p)
+            assert got == _scan_definition(g, p), (g, p)
+            kinds.add(type(got.witness))
+    assert kinds == {type(None), NoKMatching, BlockedExtension}
+
+
+def test_definition_verdict_reads_only_the_matching_table(monkeypatch):
+    """A holding triple and a NoKMatching failure are decided from the
+    matching table alone.  A BlockedExtension witness still reads the
+    odd-component table, through the blocker search that names it."""
+    hubs = Graph(7, [(0, v) for v in range(2, 7)] + [(1, v) for v in range(2, 7)] + [(0, 1)])
+
+    def refuse(*args):
+        raise AssertionError("the definition decider read a table other than nu")
+
+    for name in ("odd_table", "component_table"):
+        monkeypatch.setattr(_engine, name, refuse)
+    monkeypatch.setattr(decision, "_char_summary", refuse)
+    g = family_cliques_plus_edge(2, 1)
+    assert is_nkd_by_definition(g, NkdParams(2, 1, 2)) == Verdict(True)
+    got = is_nkd_by_definition(hubs, NkdParams(2, 1, 1))
+    assert got == Verdict(False, NoKMatching(deleted=(0, 1)))
+    assert set(g._cache) | set(hubs._cache) == {"adj_masks", "nu_table"}
+    with pytest.raises(AssertionError, match="other than nu"):
+        is_nkd_by_definition(g, NkdParams(2, 1, 0))
 
 
 def test_downward_closure_spot():

@@ -1,6 +1,9 @@
-"""The subset tables built from the component table, against flood fill."""
+"""The subset tables against slower references: the component and
+odd-component tables against flood fill, the matching table against the
+subset DP that tries every neighbour."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -9,14 +12,16 @@ from matchext import Graph
 from conftest import random_graph
 
 
-@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample", "order12"])
-def test_component_and_odd_tables_match_flood_fill(fixture, request):
+def _graphs(fixture, request):
     if fixture == "order12":
         rng = random.Random(12)
-        graphs = [random_graph(rng, 12, p) for p in (0.15, 0.25, 0.4)]
-    else:
-        graphs = request.getfixturevalue(fixture)
-    for g in graphs:
+        return [random_graph(rng, 12, p) for p in (0.15, 0.25, 0.4)]
+    return request.getfixturevalue(fixture)
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample", "order12"])
+def test_component_and_odd_tables_match_flood_fill(fixture, request):
+    for g in _graphs(fixture, request):
         # a fresh graph per case keeps the tables off the session fixtures
         g = Graph(g.order, g.edges)
         adj = _engine.adjacency_masks(g)
@@ -25,3 +30,33 @@ def test_component_and_odd_tables_match_flood_fill(fixture, request):
         for m in range(1 << g.order):
             assert lc[m] == _engine.spread(adj, m & -m, m), (g, m)
             assert odd[m] == _engine.odd_component_count(adj, m), (g, m)
+
+
+def _nu_by_every_neighbour(g):
+    """The matching table by the plain subset DP: the lowest vertex is
+    unmatched or matched to whichever in-mask neighbour does best."""
+    adj = _engine.adjacency_masks(g)
+    table = [0] * (1 << g.order)
+    for mask in range(1, 1 << g.order):
+        low = mask & -mask
+        rest = mask ^ low
+        table[mask] = max([table[rest]] + [
+            1 + table[rest ^ (1 << w)]
+            for w in _engine.bits_of(adj[low.bit_length() - 1] & rest)
+        ])
+    return table
+
+
+@pytest.mark.parametrize("fixture", ["census7", "order8_sample", "order12"])
+def test_nu_table_matches_every_neighbour_dp(fixture, request):
+    # every entry, not only the full mask: the early exit decides each one
+    for g in _graphs(fixture, request):
+        g = Graph(g.order, g.edges)
+        assert _engine.nu_table(g) == _nu_by_every_neighbour(g), g
+
+
+def test_masks_of_size_lists_every_subset_in_order():
+    for order in range(9):
+        for size in range(order + 1):
+            want = sorted(_engine.mask_of(c) for c in combinations(range(order), size))
+            assert list(_engine.masks_of_size(order, size)) == want, (order, size)
