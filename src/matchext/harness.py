@@ -5,14 +5,14 @@ preconditions, the host graphs it speaks about (the same graph with lowered
 or shifted parameters, each graph with one edge added or deleted, or the
 cone) with a target triple for each, and, for the two edge-deletion iff
 rules D1/D3, the separator-decomposition variant.  One runner,
-:func:`_run_rule`, classifies an instance as applicable or inapplicable
-(recording the first unmet precondition by name, then ``invalid-params``,
-then ``not-an-nkd-graph``) and checks the conclusion on every host; a
-violation is re-checked from scratch on freshly built graphs before being
-reported.  ``check_<id>`` are thin callables over that runner, and
-``CHECKERS`` maps each id to its checker.  The census runner sweeps every
-valid triple of every stream graph through a selection of checkers and
-aggregates deterministic reports.
+:func:`_run_rule`, rejects an invalid triple with ParameterError, classifies
+a valid instance as applicable or inapplicable (recording the first unmet
+precondition by name, then ``not-an-nkd-graph``) and checks the conclusion
+on every host; a violation is re-checked from scratch on freshly built
+graphs before being reported.  ``CHECKERS`` maps each id to ``check_<id>``,
+which adds one instance into the report it is given (or a fresh one-graph
+report).  The census gives each rule one report per graph, which every
+valid triple adds into, and merges those reports in stream order.
 """
 
 from __future__ import annotations
@@ -96,14 +96,6 @@ class TheoremReport:
 
 
 # -- rule table --------------------------------------------------------------
-
-
-def _params_ok(g: Graph, p: NkdParams) -> bool:
-    try:
-        validate_params(g, p)
-        return True
-    except ParameterError:
-        return False
 
 
 def _lowered(g: Graph, p: NkdParams):
@@ -207,22 +199,22 @@ RULES = {
 THEOREM_IDS = tuple(RULES)
 
 
-def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: int) -> TheoremReport:
-    """Classify one (graph, params) instance of rule ``tid`` and check its
-    conclusion on every host.  A violation is decided again from scratch on
-    freshly built graphs, which carry no caches, before it is reported; the
-    separator side is rechecked with the subset scan, so a wrong separator
-    layer cannot confirm its own answer."""
+def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: int,
+              rep: TheoremReport) -> None:
+    """Add one instance of rule ``tid`` into ``rep``; an invalid triple
+    raises first.  A violation is decided again on freshly built graphs,
+    which carry no caches, and its separator side by the subset scan, so a
+    wrong separator layer cannot confirm its own answer."""
+    validate_params(g, p)
     rule = RULES[tid]
-    rep = TheoremReport(tid, graphs_examined=1)
-    for reason, test in rule.preconditions + (("invalid-params", _params_ok),):
+    for reason, test in rule.preconditions:
         if not test(g, p):
             rep.skip(reason)
-            return rep
+            return
     if not nkd_holds(g, p, cap=cap):
         rep.skip("not-an-nkd-graph")
-        return rep
-    rep.applicable = 1
+        return
+    rep.applicable += 1
 
     def violation(context: str, detail: str) -> None:
         rep.violations.append(Violation(graph_index, write_graph6(g), p.as_tuple(), context, detail))
@@ -255,13 +247,15 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: in
                       if fails else "separator decomposition exists but deletion succeeds")
         if p.d == 0 and witness is not None:
             violation(context, "separator decomposition found at d = 0, which the size rule forbids")
-    return rep
 
 
 def _checker(tid: str):
-    def check(g: Graph, p: NkdParams, cap: int | None = None,
-              graph_index: int = 0) -> TheoremReport:
-        return _run_rule(tid, g, p, cap, graph_index)
+    def check(g: Graph, p: NkdParams, cap: int | None = None, graph_index: int = 0,
+              report: TheoremReport | None = None) -> TheoremReport:
+        if report is None:
+            report = TheoremReport(tid, graphs_examined=1)
+        _run_rule(tid, g, p, cap, graph_index, report)
+        return report
 
     check.__name__ = check.__qualname__ = f"check_{tid}"
     check.__doc__ = RULES[tid].doc
@@ -339,10 +333,8 @@ def check_graph(g: Graph, theorems=THEOREM_IDS, cap: int | None = None,
     """Run the selected checkers over every valid triple of one graph."""
     out = {tid: TheoremReport(tid, graphs_examined=1) for tid in theorems}
     for p in valid_triples(g.order):
-        for tid in theorems:
-            instance = CHECKERS[tid](g, p, cap=cap, graph_index=graph_index)
-            instance.graphs_examined = 0
-            out[tid].merge(instance)
+        for tid, report in out.items():
+            CHECKERS[tid](g, p, cap=cap, graph_index=graph_index, report=report)
     return out
 
 
@@ -380,10 +372,13 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
             f"jobs rule violated: jobs must be between 1 and the CPU count "
             f"{cpus}, got {jobs}"
         )
+    theorems = tuple(theorems)
     unknown = [t for t in theorems if t not in CHECKERS]
     if unknown:
-        raise ParameterError(f"unknown theorem ids: {', '.join(unknown)}")
-    theorems = tuple(theorems)
+        raise ParameterError(f"unknown theorem ids: {', '.join(map(repr, unknown))}")
+    repeated = dict.fromkeys(t for t in theorems if theorems.count(t) > 1)
+    if repeated:
+        raise ParameterError(f"repeated theorem ids: {', '.join(map(repr, repeated))}")
     if max_order is None:
         max_order = CENSUS_ORDER_CAP
     if max_order > CENSUS_ORDER_CAP and not allow_large:

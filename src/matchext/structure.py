@@ -85,7 +85,11 @@ def is_connected(g: Graph) -> bool:
 
 
 def is_bipartite(g: Graph) -> bool:
-    """Two-colorability by BFS layering."""
+    """Two-colorability by BFS layering; cached on the graph instance."""
+    return _engine.cached(g, "bipartite", lambda: _two_colorable(g))
+
+
+def _two_colorable(g: Graph) -> bool:
     color = [-1] * g.order
     for start in range(g.order):
         if color[start] != -1:

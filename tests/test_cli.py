@@ -264,6 +264,21 @@ def test_census_theorem_selection_and_env_default(capsys, tmp_path, monkeypatch)
     assert "A3" in out and "D2" in out and "B1" not in out
 
 
+@pytest.mark.parametrize("theorems, named", [
+    ("A3,A3", "repeated theorem ids: 'A3'"),
+    ("A3,", "unknown theorem ids: ''"),
+])
+def test_census_rejects_repeated_or_empty_theorem_ids(capsys, tmp_path, theorems, named):
+    stream = tmp_path / "s.g6"
+    stream.write_text(write_graph6(cycle(6)) + "\n" + write_graph6(cycle(4)) + "\n")
+    report = tmp_path / "report.json"
+    code, out, err = run(capsys, "census", "--input", str(stream), "--theorems", theorems,
+                         "--report", str(report))
+    assert code == 2
+    assert err == f"error: {named}\n"
+    assert out == "" and not report.exists()
+
+
 def test_edge_list_input_inferred(capsys, tmp_path):
     path = tmp_path / "graph.el"
     path.write_text(write_edge_list(cycle(6)))

@@ -9,8 +9,10 @@ import pytest
 
 import matchext._engine as _engine
 import matchext.harness as harness
+import matchext.structure as structure
 from matchext import (
     CensusResult,
+    Graph,
     NkdParams,
     ParameterError,
     SearchCapExceeded,
@@ -263,6 +265,80 @@ def test_report_merge_and_to_dict():
     assert d["inapplicable"] == {"d!=0": 1, "n<2": 2}
 
 
+@pytest.mark.parametrize("checker, g, p, rule", [
+    # d!=0 used to fire first and count the instance as inapplicable
+    (check_A4, complete(6), NkdParams(0, 0, 1), "parity rule"),
+    (check_D2, complete(6), NkdParams(2, 2, 0), "size rule"),
+    (check_A3, cycle(5), NkdParams(0, 0, 0), "parity rule"),
+    (check_D3, cycle(4), NkdParams(0, 2, 0), "size rule"),
+])
+def test_checkers_reject_invalid_triples_first(checker, g, p, rule):
+    with pytest.raises(ParameterError, match=rule):
+        checker(g, p)
+
+
+def _summed_instances(g):
+    """Every rule's one-graph report built as the sum of single-instance
+    reports on a fresh copy of ``g``, which shares no cache with ``g``."""
+    fresh = Graph(g.order, g.edges)
+    totals = {tid: TheoremReport(tid, graphs_examined=1) for tid in harness.THEOREM_IDS}
+    for p in valid_triples(g.order):
+        for tid, total in totals.items():
+            one = harness.CHECKERS[tid](fresh, p)
+            assert one.graphs_examined == 1
+            assert one.applicable + sum(one.inapplicable.values()) == 1
+            total.applicable += one.applicable
+            for reason, count in one.inapplicable.items():
+                total.inapplicable[reason] = total.inapplicable.get(reason, 0) + count
+            total.violations += one.violations
+    return {tid: total.to_dict() for tid, total in totals.items()}
+
+
+def test_check_graph_equals_summed_single_instances(census7, disconnected1000,
+                                                    order8_sample):
+    for g in census7 + disconnected1000[:200] + order8_sample[:100]:
+        got = {tid: rep.to_dict() for tid, rep in check_graph(g).items()}
+        assert got == _summed_instances(g), write_graph6(g)
+
+
+def test_check_graph_keeps_one_report_per_rule(monkeypatch):
+    built = []
+
+    class CountingReport(TheoremReport):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.theorem)
+
+    def no_merge(self, other):
+        raise AssertionError("check_graph merged a report")
+
+    monkeypatch.setattr(harness, "TheoremReport", CountingReport)
+    monkeypatch.setattr(TheoremReport, "merge", no_merge)
+    reports = check_graph(complete(6), theorems=("A3", "D1", "D2"))
+    assert built == ["A3", "D1", "D2"]
+    assert all(rep.graphs_examined == 1 for rep in reports.values())
+
+
+def test_check_graph_runs_a_repeated_id_once():
+    once = check_graph(cycle(6), theorems=("A3",))["A3"].to_dict()
+    assert check_graph(cycle(6), theorems=("A3", "A3"))["A3"].to_dict() == once
+
+
+def test_check_graph_two_colours_a_graph_once(monkeypatch):
+    real = structure._two_colorable
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(structure, "_two_colorable", counting)
+    g = complete_bipartite(3, 3)
+    reports = check_graph(g, theorems=("D2",))
+    assert len(calls) == 1 and calls[0] is g
+    assert reports["D2"].applicable > 0
+
+
 def test_check_graph_sweeps_all_triples():
     reports = check_graph(complete(6), theorems=("A3", "D1"))
     assert set(reports) == {"A3", "D1"}
@@ -398,6 +474,19 @@ def test_run_census_order_cap_refusal():
 def test_run_census_unknown_theorem():
     with pytest.raises(ParameterError, match="Z9"):
         run_census([], theorems=("A3", "Z9"))
+    # an empty id, as from "--theorems A3,", is quoted so it shows
+    with pytest.raises(ParameterError, match="unknown theorem ids: ''$"):
+        run_census([], theorems=("A3", ""))
+
+
+def test_run_census_rejects_repeated_theorem_ids_before_decoding(monkeypatch):
+    def refuse(*args, **kwargs):
+        pytest.fail("a graph was decoded before the theorem ids were checked")
+
+    monkeypatch.setattr(harness, "read_graph6", refuse)
+    lines = [write_graph6(cycle(4)), write_graph6(complete(5))]
+    with pytest.raises(ParameterError, match="repeated theorem ids: 'A3'$"):
+        run_census(lines, theorems=("A3", "D1", "A3"))
 
 
 @pytest.mark.parametrize("jobs", [0, -1, 3])
