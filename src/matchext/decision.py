@@ -236,48 +236,55 @@ def _char_summary(g: Graph) -> list[list[int]]:
     minus |S| over subsets S of size s whose induced subgraph has a
     k-matching; suffix-maximised over s so row lookups answer "any size >= s".
 
-    A graph built by :func:`_derived` carries a ``"derived_from"`` link
-    to its parent; its summary is folded from the parent's tables with
-    per-edit corrections (:func:`_derived_tables`) instead of its own, and
-    the link is dropped so that no parent <-> child cycle survives."""
+    A graph built by :func:`_derived` links to its parent
+    (``"derived_from"``) until this summary is built; the link is then
+    dropped so that no parent <-> child cycle survives.  The cone folds
+    tables extended exactly from its parent's (:func:`_cone_tables`).  For
+    G + uv and G - uv the rows are only an upper bound
+    (:func:`_edge_bound`), flagged by ``"summary_is_bound"`` until
+    :func:`_characterization_holds` swaps in exact rows."""
 
     def build():
         link = g._cache.pop("derived_from", None)
         if link is None:
             nu, odd = _engine.nu_table(g), _engine.odd_table(g)
+        elif link[1] == "cone":
+            nu, odd = _cone_tables(g, link[0])
         else:
-            nu, odd = _derived_tables(g, *link)
+            g._cache["summary_is_bound"] = True
+            return _edge_bound(*link)
         full = _engine.full_mask(g)
-        top = nu[full]
-        rows = [[_NEG] * (g.order + 2) for _ in range(top + 1)]
+        rows = [[_NEG] * (g.order + 2) for _ in range(nu[full] + 1)]
         for mask in range(full + 1):
             s = mask.bit_count()
             value = odd[full & ~mask] - s
             row = rows[nu[mask]]
             if value > row[s]:
                 row[s] = value
-        # a subset with a k-matching also has every smaller matching
-        for kk in range(top - 1, -1, -1):
-            upper = rows[kk + 1]
-            row = rows[kk]
-            for s in range(g.order + 1):
-                if upper[s] > row[s]:
-                    row[s] = upper[s]
-        # suffix max over sizes
-        for row in rows:
-            for s in range(g.order - 1, -1, -1):
-                if row[s + 1] > row[s]:
-                    row[s] = row[s + 1]
-        return rows
+        return _max_folds(rows)
 
     return _engine.cached(g, "char_summary", build)
+
+
+def _max_folds(rows: list[list[int]]) -> list[list[int]]:
+    # a subset with a k-matching also has every smaller matching
+    for upper, row in zip(rows[:0:-1], rows[-2::-1]):
+        for s, value in enumerate(upper):
+            if value > row[s]:
+                row[s] = value
+    # suffix max over sizes
+    for row in rows:
+        for s in range(len(row) - 2, -1, -1):
+            if row[s + 1] > row[s]:
+                row[s] = row[s + 1]
+    return rows
 
 
 def _derived(g: Graph, method: str, *args) -> Graph:
     """``getattr(g, method)(*args)`` (``add_edge``, ``delete_edge`` or
     ``cone``), cached on the parent so that rules and triples share it.  The
     host links to its parent (``"derived_from"``) until its summary is built
-    from the parent's tables by :func:`_derived_tables`."""
+    from the parent's tables by :func:`_char_summary`."""
 
     def build():
         host = getattr(g, method)(*args)
@@ -287,70 +294,59 @@ def _derived(g: Graph, method: str, *args) -> Graph:
     return _engine.cached(g, ("derived", method) + args, build)
 
 
-def _derived_tables(h: Graph, parent: Graph, method: str, args: tuple) -> tuple[list[int], list[int]]:
-    """The ``nu`` and ``odd`` values of ``h == getattr(parent, method)(*args)``,
-    corrected from the parent's tables rather than rebuilt.
-
-    The two lists are transient copies for one summary fold and are never
-    cached on ``h``.  Only subsets M holding both ends of an edited edge uv
-    change.  ``nu[M]`` gains the edge (G + uv) or takes one matching step
-    at u without it (G - uv).  The odd count moves by 2 or not at all; the
-    components it depends on are chased through the parent's component
-    table (:func:`_component_of`):
-
-    * G + uv: when u's component Cu in G[M] misses v and both Cu and v's
-      component are odd, the edge merges two odd components into one even
-      one, and the count drops by 2.
-    * G - uv: with Cv the component of v in G[M - u], the edge was a bridge
-      when u has no other neighbour in Cv.  It then splits u's component C
-      in G[M] into Cv and C - Cv, and the count rises by 2 when both are odd.
-
-    For the cone with apex a, ``nu[M + a]`` is ``nu[M]`` plus one when M
-    leaves a vertex exposed, and R + a is connected.
-    """
+def _cone_tables(h: Graph, parent: Graph) -> tuple[list[int], list[int]]:
+    """The ``nu`` and ``odd`` tables of the cone ``h`` of ``parent``, for one
+    summary fold; never cached on ``h``.  With apex a, ``nu[M + a]`` is
+    ``nu[M]`` plus one when M leaves a vertex exposed, and R + a is
+    connected."""
     _engine._require_table(h)
     nu, odd = _engine.nu_table(parent), _engine.odd_table(parent)
-    if method == "cone":
-        return (nu + [k + (m.bit_count() > 2 * k) for m, k in enumerate(nu)],
-                odd + [(m.bit_count() + 1) & 1 for m in range(len(odd))])
-    lc = _engine.component_table(parent)
+    return (nu + [k + (m.bit_count() > 2 * k) for m, k in enumerate(nu)],
+            odd + [(m.bit_count() + 1) & 1 for m in range(len(odd))])
+
+
+def _edge_bound(parent: Graph, method: str, args: tuple) -> list[list[int]]:
+    """An upper bound, entry by entry, on the summary of G + uv or G - uv
+    (``getattr(parent, method)(*args)``): the parent's summary raised by the
+    only entries that can rise, then folded again.  Adding uv lowers no
+    ``nu`` and raises no odd count; deleting it does the opposite."""
+    nu, odd = _engine.nu_table(parent), _engine.odd_table(parent)
+    full = _engine.full_mask(parent)
     u, v = args
-    adj_h = _engine.adjacency_masks(h)
     bu, bv = 1 << u, 1 << v
     both = bu | bv
-    rest = _engine.full_mask(h) ^ both
-    nu_h, odd_h = nu.copy(), odd.copy()
-    x = rest
+    if method == "add_edge":
+        # nu[M] rises by one exactly when M holds u and v and G[M - u - v]
+        # is as large; odd[V - M] stays, as V - M misses both
+        raised = ((nu[m] + 1, m, odd[full ^ m])
+                  for m in _masks_holding(full, both) if nu[m ^ both] >= nu[m])
+    else:
+        # odd[R] rises by 2 exactly when uv is a bridge of G[R] between two
+        # odd parts: u has no other neighbour in v's component Cv of
+        # G[R - u], and Cv and the rest of u's component are odd
+        lc = _engine.component_table(parent)
+        adj_u = _engine.adjacency_masks(parent)[u] ^ bv
+        raised = ((nu[full ^ r], full ^ r, odd[r] + 2)
+                  for r in _masks_holding(full, both)
+                  if not adj_u & (cv := _component_of(lc, r ^ bu, bv))
+                  and cv.bit_count() & 1
+                  and (_component_of(lc, r, bu).bit_count() - cv.bit_count()) & 1)
+    rows = [row.copy() for row in _char_summary(parent)] + [[_NEG] * (parent.order + 2)]
+    for k, m, o in raised:
+        s = m.bit_count()
+        row = rows[k]
+        if o - s > row[s]:
+            row[s] = o - s
+    return _max_folds(rows)
+
+
+def _masks_holding(full: int, both: int):
+    """Every mask within ``full`` that holds all of ``both``."""
+    rest = x = full ^ both
     while True:
-        m = x | both
-        k = nu[m]
-        if method == "add_edge":
-            if nu[x] >= k:
-                nu_h[m] = k + 1
-            cu = _component_of(lc, m, bu)
-            if not cu & bv and cu.bit_count() & 1:
-                # uv merges two odd components into one even one
-                if _component_of(lc, m ^ cu, bv).bit_count() & 1:
-                    odd_h[m] -= 2
-        else:
-            if nu[m ^ bu] < k:
-                # every maximum matching of G[M] covers u: keep k only if one
-                # uses an edge of u other than uv
-                ws = adj_h[u] & m
-                while ws:
-                    b = ws & -ws
-                    if nu[m ^ bu ^ b] == k - 1:
-                        break
-                    ws ^= b
-                else:
-                    nu_h[m] = k - 1
-            cv = _component_of(lc, m ^ bu, bv)
-            if not adj_h[u] & cv and cv.bit_count() & 1:
-                # uv was a bridge: u's component splits into Cv and the rest
-                if (_component_of(lc, m, bu).bit_count() - cv.bit_count()) & 1:
-                    odd_h[m] += 2
+        yield x | both
         if not x:
-            return nu_h, odd_h
+            return
         x = (x - 1) & rest
 
 
@@ -366,12 +362,17 @@ def _component_of(lc, m: int, bw: int) -> int:
 
 
 def _characterization_holds(g: Graph, n: int, k: int, d: int) -> bool:
+    """The two row tests on :func:`_char_summary`.  When the rows are an
+    edited host's upper bound and do not show the target holding, they are
+    replaced by the exact rows of a table-less copy, so every failure is
+    decided exactly and the host caches no tables."""
     rows = _char_summary(g)
-    if rows[0][n] > d - n:
-        return False
-    if k >= len(rows) or n + 2 * k > g.order:
-        return True
-    return rows[k][n + 2 * k] <= d - n - 2 * k
+    holds = rows[0][n] <= d - n and (
+        k >= len(rows) or n + 2 * k > g.order or rows[k][n + 2 * k] <= d - n - 2 * k)
+    if holds or not g._cache.pop("summary_is_bound", False):
+        return holds
+    g._cache["char_summary"] = _char_summary(Graph(g.order, g.edges))
+    return _characterization_holds(g, n, k, d)
 
 
 def nkd_holds(g: Graph, params: NkdParams, cap: int | None = None) -> bool:

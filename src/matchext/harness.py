@@ -32,7 +32,6 @@ from .decision import (
     find_decomposition_witness,
     is_nkd_by_characterization,
     nkd_holds,
-    validate_params,
 )
 from .errors import FormatError, ParameterError, SearchCapExceeded
 from .graph import Graph
@@ -201,17 +200,20 @@ THEOREM_IDS = tuple(RULES)
 
 def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: int,
               rep: TheoremReport) -> None:
-    """Add one instance of rule ``tid`` into ``rep``; an invalid triple
-    raises first.  A violation is decided again on freshly built graphs,
-    which carry no caches, and its separator side by the subset scan, so a
-    wrong separator layer cannot confirm its own answer."""
-    validate_params(g, p)
+    """Add one instance of rule ``tid`` into ``rep``.  The graph's own
+    verdict is decided first and is the instance's only validation of its
+    triple, so an invalid triple raises before any precondition runs; an
+    unmet precondition is still the reason recorded, ahead of
+    ``not-an-nkd-graph``.  A violation is decided again on freshly built
+    graphs, which carry no caches, and its separator side by the subset
+    scan, so a wrong separator layer cannot confirm its own answer."""
+    holds = nkd_holds(g, p, cap=cap)
     rule = RULES[tid]
     for reason, test in rule.preconditions:
         if not test(g, p):
             rep.skip(reason)
             return
-    if not nkd_holds(g, p, cap=cap):
+    if not holds:
         rep.skip("not-an-nkd-graph")
         return
     rep.applicable += 1

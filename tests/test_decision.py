@@ -23,6 +23,7 @@ from matchext import (
     is_nkd_by_characterization,
     is_nkd_by_definition,
     nkd_holds,
+    read_graph6,
     validate_params,
     valid_triples,
     verify_decomposition_witness,
@@ -31,8 +32,9 @@ from matchext import (
 import matchext.decision as decision
 from matchext.decision import (
     _char_summary,
+    _characterization_holds,
+    _cone_tables,
     _derived,
-    _derived_tables,
     _scan_decomposition_witness,
     _scan_definition,
 )
@@ -457,18 +459,61 @@ def _edits(g):
 
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
-def test_derived_summary_matches_fresh(fixture, request):
-    # the tables corrected from the parent's, and the summary folded from
-    # them, against the host's own; a fresh parent per graph keeps the
-    # session fixtures' caches free of derived hosts
+def test_derived_summary_matches_fresh(fixture, request, monkeypatch):
+    # every valid triple decided on the host against a fresh copy, then the
+    # cone's tables extended from the parent's and the upper bound of G + uv
+    # and G - uv against the copy's tables and summary.  A host decides a
+    # failing target on a table-less copy of itself; that copy is recorded
+    # and serves as the fresh graph, so each edit builds its tables once.  A
+    # fresh parent per graph keeps the shared fixtures' caches free of hosts
+    copies = []
+
+    class Recorded(Graph):
+        def __init__(self, order, edges):
+            super().__init__(order, edges)
+            copies.append(self)
+
+    monkeypatch.setattr(decision, "Graph", Recorded)
+    triples = {order: valid_triples(order) for order in range(1, 10)}
     for g in request.getfixturevalue(fixture):
         parent = Graph(g.order, g.edges)
         for edit in _edits(parent):
             h = _derived(parent, *edit)
-            fresh = Graph(h.order, h.edges)
-            tables = _derived_tables(h, parent, edit[0], edit[1:])
-            assert tables == (_engine.nu_table(fresh), _engine.odd_table(fresh)), (g, edit)
-            assert _char_summary(h) == _char_summary(fresh), (g, edit)
+            rows = _char_summary(h)
+            params = triples[h.order]
+            decided = [nkd_holds(h, p) for p in params]
+            fresh = copies.pop() if copies else Graph(h.order, h.edges)
+            assert not copies and fresh == h and fresh is not h
+            want = [_characterization_holds(fresh, *p.as_tuple()) for p in params]
+            assert decided == want, (g, edit)
+            if edit[0] == "cone":
+                tables = _cone_tables(h, parent)
+                assert tables == (_engine.nu_table(fresh), _engine.odd_table(fresh)), (g, edit)
+            exact = _char_summary(fresh)
+            assert len(rows) >= len(exact), (g, edit)
+            for row, exact_row in zip(rows, exact):
+                assert all(map(int.__ge__, row, exact_row)), (g, edit)
+
+
+@pytest.mark.parametrize("code, method, edge, triple, holds", [
+    ("C?", "add_edge", (0, 1), (0, 0, 2), True),
+    ("Ck", "delete_edge", (0, 1), (0, 1, 0), True),
+    ("C@", "delete_edge", (2, 3), (0, 0, 0), False),
+])
+def test_inconclusive_bound_is_decided_exactly(code, method, edge, triple, holds):
+    # hosts whose upper bound does not show the target holding: the answer
+    # comes from the exact rows, and the host still keeps no tables
+    h = _derived(read_graph6(code), method, *edge)
+    p = NkdParams(*triple)
+    bound = _char_summary(h)
+    assert h._cache["summary_is_bound"]
+    fresh = Graph(h.order, h.edges)
+    assert is_nkd_by_definition(fresh, p).holds is holds
+    assert nkd_holds(h, p) is holds
+    assert h._cache["char_summary"] is not bound
+    assert h._cache["char_summary"] == _char_summary(fresh)
+    assert not {"nu_table", "odd_table", "comp_table", "derived_from",
+                "summary_is_bound"} & set(h._cache)
 
 
 def test_decomposition_witness_kv_lines():
