@@ -4,8 +4,10 @@ Graphs are immutable, so every table computed here is memoised on the host
 instance (``g._cache``) and never invalidated.  Vertex subsets are plain
 Python ints used as bitmasks.
 
-The subset tables rest on :func:`component_table`, which builds each entry
-from smaller entries with no flood fill.  The flood fill (:func:`spread`,
+The matching table is built bit-parallel, one 2^n-bit plane per matching
+size (:func:`nu_table`).  The odd-count tables rest on
+:func:`component_table`, which builds each entry from smaller entries with
+no flood fill.  The flood fill (:func:`spread`,
 :func:`component_split`, :func:`odd_component_count`) stays for the oracles
 and slow paths that must not read the tables.
 """
@@ -115,35 +117,85 @@ def _require_table(g: Graph):
         )
 
 
+#: masks per step of the plane-to-table conversion in :func:`nu_table`
+_CHUNK = 1 << 16
+#: hex digit characters to their values, one byte each
+_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
 def nu_table(g: Graph) -> list[int]:
     """Maximum matching size of every induced subgraph, indexed by bitmask.
 
-    Classic subset DP: the lowest vertex of the mask is either unmatched or
-    matched to one of its in-mask neighbours.  Since ``nu[R - b] <= nu[R]``
-    and ``nu[M] <= nu[R] + 1`` for R = M minus its lowest vertex, the
-    first neighbour b with ``nu[R - b] == nu[R]`` already gives the
-    maximum, and the scan stops there.
+    Built bit-parallel: a Python int of 2^n bits holds one bit per subset,
+    and plane P_j is the set of masks M with ``nu[M] >= j``.  With Z_b the
+    masks lacking vertex b, ``nu[M] >= j + 1`` exactly when some edge ab of
+    G[M] has ``nu[M - a - b] >= j``, so P_{j+1} is the OR over edges ab of
+    ``(P_j & Z_a & Z_b) << (2^a + 2^b)``.  The planes are grown one vertex
+    at a time, which needs only the edges at the new vertex v: a mask
+    M + v, with M over the vertices below v, is in P_{j+1} when M is (v
+    unmatched) or when M = X + b with X in P_j and b a neighbour of v, that
+    is ``(P_j & Z_b) << 2^b``.  Growth stops at the first empty plane.
+
+    Plane membership is nested, so ``nu[M]`` is the number of planes that
+    hold M; its binary digits are ORs of the differences of consecutive
+    planes.  Each digit's bit string, read as hexadecimal, puts that digit
+    in one nibble per mask, and the shifted sum is ``nu`` in hexadecimal:
+    no value exceeds 12 below ``TABLE_LIMIT`` = 24, so a nibble holds it.
+    The conversion runs ``_CHUNK`` masks at a time and caches nothing but
+    the table; the planes are gone when it returns.
     """
 
     def build():
         _require_table(g)
-        adj = adjacency_masks(g)
-        table = [0] * (1 << g.order)
-        for mask in range(1, 1 << g.order):
-            low = mask & -mask
-            rest = mask ^ low
-            best = table[rest]
-            m = adj[low.bit_length() - 1] & rest
-            while m:
-                b = m & -m
-                if table[rest ^ b] == best:
-                    best += 1
-                    break
-                m ^= b
-            table[mask] = best
+        size = 1 << g.order
+        digits = _count_digits(_nu_planes(adjacency_masks(g), g.order))
+        width = min(size, _CHUNK)
+        low = (1 << width) - 1
+        table = [0] * size
+        for start in range(0, size, width):
+            nibbles = sum(int(format(p >> start & low, "b"), 16) << t
+                          for t, p in enumerate(digits))
+            table[start:start + width] = (
+                format(nibbles, f"0{width}x").encode().translate(_HEX_VALUES)[::-1])
         return table
 
     return cached(g, "nu_table", build)
+
+
+def _nu_planes(adj: tuple[int, ...], order: int) -> list[int]:
+    """``planes[j - 1]``: the 2^order-bit set of masks M with ``nu[M] >= j``,
+    for every j up to the graph's matching number (see :func:`nu_table`)."""
+    planes: list[int] = []
+    lacking: list[int] = []  # lacking[b]: the masks below vertex v without b
+    for v in range(order):
+        width = 1 << v
+        steps = [(lacking[b], 1 << b) for b in bits_of(adj[v] & (width - 1))]
+        below, grown = (1 << width) - 1, []  # P_0 over the vertices below v
+        for plane in planes + [0]:
+            top = plane
+            for z, shift in steps:
+                top |= (below & z) << shift
+            if not top:
+                break
+            grown.append(plane | top << width)
+            below = plane
+        planes = grown
+        if v + 1 < order:
+            lacking = [z | z << width for z in lacking] + [(1 << width) - 1]
+    return planes
+
+
+def _count_digits(planes: list[int]) -> list[int]:
+    """The binary digits of each mask's plane count, least significant
+    first, from nested planes: the masks in exactly j planes are P_j minus
+    P_{j+1}, and they carry the digits of j."""
+    digits = [0] * len(planes).bit_length()
+    for j, plane in enumerate(planes, 1):
+        exact = plane ^ planes[j] if j < len(planes) else plane
+        for t in range(j.bit_length()):
+            if j >> t & 1:
+                digits[t] |= exact
+    return digits
 
 
 def component_table(g: Graph) -> array:

@@ -180,18 +180,22 @@ def is_nkd_by_definition(g: Graph, params: NkdParams, cap: int | None = None) ->
     covers 2k of its vertices and the other n form S.  So the verdict is
     one pass over the n-sets and one over the (n + 2k)-sets.
 
-    Only on failure does the S-by-S, matching-by-matching scan run
-    (:func:`_scan_definition`), to name the first violation in
+    Only on failure is a witness named, for the first violation in
     deterministic order: deleted subsets lexicographic, matchings in
     canonical enumeration order; the blocking set of an inextensible
-    matching is the smallest-first lexicographically least one.
+    matching is the smallest-first lexicographically least one.  The first
+    violating n-set is found from the table alone
+    (:func:`_first_violating_set`), and the matching-by-matching scan runs
+    for that set only.
     """
     validate_params(g, params)
     _check_cap(g, cap, DECIDER_CAP, "decider")
     if _definition_holds(g, *params.as_tuple()):
         return Verdict(True)
-    verdict = _scan_definition(g, params)
-    if verdict.holds:
+    nu = _engine.nu_table(g)
+    subset = _first_violating_set(g, nu, *params.as_tuple())
+    verdict = None if subset is None else _violation_at(g, nu, params, subset)
+    if verdict is None:
         raise AssertionError("the (n + 2k)-set pass reported a violation the scan cannot find")
     return verdict
 
@@ -209,26 +213,53 @@ def _definition_holds(g: Graph, n: int, k: int, d: int) -> bool:
     )
 
 
+def _first_violating_set(g: Graph, nu: list[int], n: int, k: int,
+                         d: int) -> tuple[int, ...] | None:
+    """The lexicographically first n-set S at which the definition fails,
+    read from the matching table ``nu`` alone: G - S has no k-matching, or
+    some 2k-set X of V - S has a perfect matching (``nu[X] >= k``) and
+    leaves ``nu[V - S - X]`` below the bound of :func:`_definition_holds`."""
+    full = _engine.full_mask(g)
+    need = (g.order - n - 2 * k - d) // 2
+    for subset in combinations(range(g.order), n):
+        rest = full & ~_engine.mask_of(subset)
+        if nu[rest] < k or any(
+            nu[x] >= k and nu[rest ^ x] < need
+            for x in map(sum, combinations([1 << v for v in _engine.bits_of(rest)], 2 * k))
+        ):
+            return subset
+    return None
+
+
 def _scan_definition(g: Graph, params: NkdParams) -> Verdict:
     """The definition checked literally, for every n-subset S in
     lexicographic order and every k-matching of G - S in canonical order;
-    the witness of :func:`is_nkd_by_definition`, and the oracle its
-    (n + 2k)-set pass is tested against."""
-    n, k, d = params.as_tuple()
+    the oracle that :func:`is_nkd_by_definition` is tested against."""
     nu = _engine.nu_table(g)
-    full = _engine.full_mask(g)
-    for subset in combinations(range(g.order), n):
-        rest = full & ~_engine.mask_of(subset)
-        if nu[rest] < k:
-            return Verdict(False, NoKMatching(subset))
-        for medges, mmask in _matchings_in_mask(g.edges, rest, k):
-            rem = rest & ~mmask
-            if rem.bit_count() - 2 * nu[rem] > d:
-                blocker = _berge_blocker(g, rem, d)
-                if blocker is None:
-                    raise AssertionError("no blocking set found for a deficient subgraph")
-                return Verdict(False, BlockedExtension(subset, medges, blocker))
+    for subset in combinations(range(g.order), params.n):
+        verdict = _violation_at(g, nu, params, subset)
+        if verdict is not None:
+            return verdict
     return Verdict(True)
+
+
+def _violation_at(g: Graph, nu: list[int], params: NkdParams,
+                  subset: tuple[int, ...]) -> Verdict | None:
+    """The first violation with deleted set ``subset``, matchings taken in
+    canonical order, or None when G - S meets the definition; ``nu`` is the
+    graph's matching table."""
+    k, d = params.k, params.d
+    rest = _engine.full_mask(g) & ~_engine.mask_of(subset)
+    if nu[rest] < k:
+        return Verdict(False, NoKMatching(subset))
+    for medges, mmask in _matchings_in_mask(g.edges, rest, k):
+        rem = rest & ~mmask
+        if rem.bit_count() - 2 * nu[rem] > d:
+            blocker = _berge_blocker(g, rem, d)
+            if blocker is None:
+                raise AssertionError("no blocking set found for a deficient subgraph")
+            return Verdict(False, BlockedExtension(subset, medges, blocker))
+    return None
 
 
 def _char_summary(g: Graph) -> list[list[int]]:
@@ -379,12 +410,17 @@ def nkd_holds(g: Graph, params: NkdParams, cap: int | None = None) -> bool:
     """Boolean-only characterization decision, cached on the graph instance.
 
     Same answer as :func:`is_nkd_by_characterization` without witness
-    extraction; used where deciders are called in bulk.
+    extraction; used where deciders are called in bulk.  The triple is
+    validated on a miss only: a cached verdict exists only for a triple
+    already validated on this graph.  The cap is checked on every call.
     """
-    validate_params(g, params)
     _check_cap(g, cap, DECIDER_CAP, "decider")
-    return _engine.cached(g, ("nkd",) + params.as_tuple(),
-                          lambda: _characterization_holds(g, *params.as_tuple()))
+    key = ("nkd", params.n, params.k, params.d)
+    holds = g._cache.get(key)
+    if holds is None:
+        validate_params(g, params)
+        holds = g._cache[key] = _characterization_holds(g, params.n, params.k, params.d)
+    return holds
 
 
 def is_nkd_by_characterization(g: Graph, params: NkdParams, cap: int | None = None) -> Verdict:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -46,6 +47,7 @@ from conftest import (
     cycle,
     disjoint_union,
     path,
+    random_graph,
     random_sample,
 )
 
@@ -83,6 +85,19 @@ def test_deciders_reject_invalid_params():
     for decide in (is_nkd_by_definition, is_nkd_by_characterization, nkd_holds):
         with pytest.raises(ParameterError):
             decide(complete(6), NkdParams(1, 1, 0))
+
+
+def test_cached_verdict_still_refuses_invalid_triples_and_lower_caps():
+    g = complete(8)
+    assert nkd_holds(g, NkdParams(0, 1, 0))
+    assert ("nkd", 0, 1, 0) in g._cache
+    with pytest.raises(ParameterError, match="parity"):
+        nkd_holds(g, NkdParams(1, 1, 0))
+    with pytest.raises(ParameterError, match="size"):
+        nkd_holds(g, NkdParams(2, 2, 2))
+    with pytest.raises(SearchCapExceeded, match="capped at 7"):
+        nkd_holds(g, NkdParams(0, 1, 0), cap=7)
+    assert nkd_holds(g, NkdParams(0, 1, 0), cap=8)
 
 
 def test_decider_cap():
@@ -298,6 +313,26 @@ def test_definition_pass_matches_the_scan(fixture, request):
             assert got == _scan_definition(g, p), (g, p)
             kinds.add(type(got.witness))
     assert kinds == {type(None), NoKMatching, BlockedExtension}
+
+
+def _decide_workload_graphs(seed: int = 1) -> list[Graph]:
+    """The four order-14 graphs of the benchmark's first decide sweep for
+    ``seed``: densities tiling 0.5-0.6 from a seeded offset."""
+    rng = random.Random(f"decide/{seed}/0")
+    offset = rng.random()
+    return [random_graph(rng, 14, 0.5 + 0.1 * (j + offset) / 4) for j in range(4)]
+
+
+def test_definition_witness_matches_the_scan_at_order_14():
+    # holding triples cost the scan every n-set and matching, so only the
+    # failing ones, whose witness the table-read n-set search locates
+    failing = 0
+    for g in _decide_workload_graphs():
+        for p in valid_triples(g.order):
+            if not decision._definition_holds(g, *p.as_tuple()):
+                failing += 1
+                assert is_nkd_by_definition(g, p) == _scan_definition(g, p), (g, p)
+    assert failing >= 40
 
 
 def test_definition_verdict_reads_only_the_matching_table(monkeypatch):

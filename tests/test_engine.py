@@ -1,6 +1,6 @@
 """The subset tables against slower references: the component and
-odd-component tables against flood fill, the matching table against the
-subset DP that tries every neighbour."""
+odd-component tables against flood fill, the bit-parallel matching table
+against the subset DP that tries every neighbour."""
 
 import random
 from itertools import combinations
@@ -8,14 +8,20 @@ from itertools import combinations
 import pytest
 
 import matchext._engine as _engine
-from matchext import Graph
-from conftest import random_graph
+from matchext import Graph, SearchCapExceeded
+from conftest import complete, cycle, empty, random_graph
 
 
 def _graphs(fixture, request):
     if fixture == "order12":
         rng = random.Random(12)
         return [random_graph(rng, 12, p) for p in (0.15, 0.25, 0.4)]
+    if fixture == "orders0to16":
+        rng = random.Random(16)
+        graphs = [empty(0), empty(1)]
+        graphs += [make(order) for order in range(2, 12) for make in (empty, complete)]
+        return graphs + [random_graph(rng, order, rng.uniform(0.1, 0.9))
+                         for order in range(2, 17) for _ in range(3 if order < 14 else 1)]
     return request.getfixturevalue(fixture)
 
 
@@ -47,12 +53,36 @@ def _nu_by_every_neighbour(g):
     return table
 
 
-@pytest.mark.parametrize("fixture", ["census7", "order8_sample", "order12"])
+@pytest.mark.parametrize("fixture", ["census7", "order8_sample", "order12", "orders0to16"])
 def test_nu_table_matches_every_neighbour_dp(fixture, request):
-    # every entry, not only the full mask: the early exit decides each one
+    # every entry, not only the full mask: each one is read off the planes
     for g in _graphs(fixture, request):
         g = Graph(g.order, g.edges)
-        assert _engine.nu_table(g) == _nu_by_every_neighbour(g), g
+        got = _engine.nu_table(g)
+        assert type(got) is list and got == _nu_by_every_neighbour(g), g
+
+
+def test_nu_table_converts_chunk_by_chunk(monkeypatch):
+    # chunks of 16 masks make every graph above order 4 span several
+    monkeypatch.setattr(_engine, "_CHUNK", 16)
+    rng = random.Random(17)
+    for order in range(11):
+        for _ in range(4):
+            g = random_graph(rng, order, rng.uniform(0.2, 0.9))
+            assert _engine.nu_table(g) == _nu_by_every_neighbour(Graph(g.order, g.edges)), g
+
+
+def test_nu_table_refuses_before_allocating(monkeypatch):
+    def allocate(*args):
+        raise AssertionError("built part of a table past the limit")
+
+    monkeypatch.setattr(_engine, "TABLE_LIMIT", 5)
+    monkeypatch.setattr(_engine, "adjacency_masks", allocate)
+    monkeypatch.setattr(_engine, "_nu_planes", allocate)
+    g = cycle(6)
+    with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
+        _engine.nu_table(g)
+    assert g._cache == {}
 
 
 def test_masks_of_size_lists_every_subset_in_order():
