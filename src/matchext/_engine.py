@@ -4,12 +4,16 @@ Graphs are immutable, so every table computed here is memoised on the host
 instance (``g._cache``) and never invalidated.  Vertex subsets are plain
 Python ints used as bitmasks.
 
-The matching table is built bit-parallel, one 2^n-bit plane per matching
-size (:func:`nu_table`).  The odd-count tables rest on
-:func:`component_table`, which builds each entry from smaller entries with
-no flood fill.  The flood fill (:func:`spread`,
-:func:`component_split`, :func:`odd_component_count`) stays for the oracles
-and slow paths that must not read the tables.
+Both count tables are built bit-parallel, as Python ints with one bit per
+subset: the matching table from one plane per matching size
+(:func:`nu_table`), the odd-component table from pairwise connectivity
+planes over 2^16-mask chunks (:func:`odd_table`).  A bit-sliced counter
+adds planes into binary digits, and one conversion reads them into the
+table at one byte per mask (:func:`_byte_lanes`).  :func:`component_table`
+is built only for its two readers, the G - uv bound and the separator
+layer.  The flood fill (:func:`spread`, :func:`component_split`,
+:func:`odd_component_count`) stays for the oracles and slow paths that must
+not read the tables.
 """
 
 from __future__ import annotations
@@ -117,10 +121,41 @@ def _require_table(g: Graph):
         )
 
 
-#: masks per step of the plane-to-table conversion in :func:`nu_table`
+#: masks per chunk: the odd-count planes span the vertices below
+#: log2(_CHUNK), and both tables are converted this many masks at a time
 _CHUNK = 1 << 16
-#: hex digit characters to their values, one byte each
-_HEX_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+#: binary digit characters to their values, one byte each
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _count_planes(planes) -> list[int]:
+    """The number of ``planes`` that hold each mask, as binary digit
+    planes, least significant first: a bit-sliced counter, to which each
+    plane adds one at the masks it holds."""
+    digits: list[int] = []
+    for plane in planes:
+        t = 0
+        while plane:
+            if t == len(digits):
+                digits.append(plane)
+                break
+            digits[t], plane = digits[t] ^ plane, digits[t] & plane
+            t += 1
+    return digits
+
+
+def _byte_lanes(digits: list[int], start: int, width: int) -> bytes:
+    """The counter ``digits`` at masks ``start`` .. ``start + width - 1``,
+    one byte per mask.  A digit plane's bit string, its characters
+    translated to bytes 0 and 1 and read as a big-endian int, puts that
+    digit in the byte lane of its mask; the shifted digits sum to the
+    count, and no count exceeds ``TABLE_LIMIT`` = 24, so a byte holds it."""
+    low = (1 << width) - 1
+    lanes = 0
+    for t, plane in enumerate(digits):
+        bits = format(plane >> start & low, "b").encode().translate(_BIT_VALUES)
+        lanes |= int.from_bytes(bits, "big") << t
+    return lanes.to_bytes(width, "little")
 
 
 def nu_table(g: Graph) -> list[int]:
@@ -136,27 +171,20 @@ def nu_table(g: Graph) -> list[int]:
     unmatched) or when M = X + b with X in P_j and b a neighbour of v, that
     is ``(P_j & Z_b) << 2^b``.  Growth stops at the first empty plane.
 
-    Plane membership is nested, so ``nu[M]`` is the number of planes that
-    hold M; its binary digits are ORs of the differences of consecutive
-    planes.  Each digit's bit string, read as hexadecimal, puts that digit
-    in one nibble per mask, and the shifted sum is ``nu`` in hexadecimal:
-    no value exceeds 12 below ``TABLE_LIMIT`` = 24, so a nibble holds it.
-    The conversion runs ``_CHUNK`` masks at a time and caches nothing but
-    the table; the planes are gone when it returns.
+    ``nu[M]`` is the number of planes that hold M.  A bit-sliced counter
+    adds the planes into binary digit planes, which :func:`_byte_lanes`
+    reads one byte per mask, ``_CHUNK`` masks at a time.  Nothing but the
+    table is cached; the planes are gone when it returns.
     """
 
     def build():
         _require_table(g)
         size = 1 << g.order
-        digits = _count_digits(_nu_planes(adjacency_masks(g), g.order))
+        digits = _count_planes(_nu_planes(adjacency_masks(g), g.order))
         width = min(size, _CHUNK)
-        low = (1 << width) - 1
         table = [0] * size
         for start in range(0, size, width):
-            nibbles = sum(int(format(p >> start & low, "b"), 16) << t
-                          for t, p in enumerate(digits))
-            table[start:start + width] = (
-                format(nibbles, f"0{width}x").encode().translate(_HEX_VALUES)[::-1])
+            table[start:start + width] = _byte_lanes(digits, start, width)
         return table
 
     return cached(g, "nu_table", build)
@@ -185,64 +213,110 @@ def _nu_planes(adj: tuple[int, ...], order: int) -> list[int]:
     return planes
 
 
-def _count_digits(planes: list[int]) -> list[int]:
-    """The binary digits of each mask's plane count, least significant
-    first, from nested planes: the masks in exactly j planes are P_j minus
-    P_{j+1}, and they carry the digits of j."""
-    digits = [0] * len(planes).bit_length()
-    for j, plane in enumerate(planes, 1):
-        exact = plane ^ planes[j] if j < len(planes) else plane
-        for t in range(j.bit_length()):
-            if j >> t & 1:
-                digits[t] |= exact
-    return digits
-
-
 def component_table(g: Graph) -> array:
     """The component of the lowest vertex in every induced subgraph, as a
-    vertex mask, indexed by bitmask; 4 bytes per subset.
+    vertex mask, indexed by bitmask; 4 bytes per subset.  Read by the
+    G - uv bound and the separator layer only.
 
     Each entry is built from smaller ones.  With v the lowest vertex of M
     and R = M - v, the components of G[R] are ``table[R]``, then
     ``table[R']`` with R' = R minus that component, and so on; v's
     component is v plus those that touch v's neighbours.  The walk stops
     once R holds no neighbour of v.  Chasing the same way from M lists the
-    components of G[M] in order of lowest vertex.
+    components of G[M] in order of lowest vertex.  The masks are filled by
+    lowest vertex, highest first, so every R is filled before M.
     """
 
     def build():
         _require_table(g)
         adj = adjacency_masks(g)
-        table = array("I", [0]) * (1 << g.order)
-        for mask in range(1, 1 << g.order):
-            low = mask & -mask
-            near = adj[low.bit_length() - 1]
-            comp, rest = low, mask ^ low
-            while rest & near:
-                c = table[rest]
-                if c & near:
-                    comp |= c
-                rest ^= c
-            table[mask] = comp
+        size = 1 << g.order
+        table = array("I", [0]) * size
+        for v in range(g.order - 1, -1, -1):
+            low, near = 1 << v, adj[v]
+            for mask in range(low, size, low << 1):  # lowest vertex v
+                comp, rest = low, mask ^ low
+                while rest & near:
+                    c = table[rest]
+                    if c & near:
+                        comp |= c
+                    rest ^= c
+                table[mask] = comp
         return table
 
     return cached(g, "comp_table", build)
 
 
 def odd_table(g: Graph) -> list[int]:
-    """Odd-component count of every induced subgraph, indexed by bitmask:
-    the lowest vertex's component from :func:`component_table` plus the
-    count on the rest."""
+    """Odd-component count of every induced subgraph, indexed by bitmask.
+
+    Built from connectivity planes, one chunk of ``_CHUNK`` masks at a
+    time.  The low vertices are those below c = log2(``_CHUNK``); each
+    chunk fixes the set H of high vertices it holds, and the components of
+    G[H] are always present nodes.  :func:`_odd_digits` counts, for every
+    set X of low vertices, the odd components of G[X + H].  Up to order c
+    there is one chunk, with H empty.
+    """
 
     def build():
-        lc = component_table(g)
+        _require_table(g)
+        adj = adjacency_masks(g)
+        low = min(g.order, _CHUNK.bit_length() - 1)
+        width = 1 << low
         table = [0] * (1 << g.order)
-        for mask in range(1, 1 << g.order):
-            c = lc[mask]
-            table[mask] = table[mask ^ c] + (c.bit_count() & 1)
+        for start in range(0, len(table), width):
+            digits = _odd_digits(adj, low, component_split(adj, start))
+            table[start:start + width] = _byte_lanes(digits, 0, width)
         return table
 
     return cached(g, "odd_table", build)
+
+
+def _odd_digits(adj: tuple[int, ...], low: int, fixed: list[int]) -> list[int]:
+    """The binary digits, least significant first, of the odd-component
+    count of G[X + H] for every mask X over the vertices below ``low``, as
+    2^low-bit planes; ``fixed`` lists the components of G[H].
+
+    The nodes are those components and then the low vertices.
+    ``conn[a][b]`` is the set of masks X in which nodes a and b are both
+    present and connected in G[X + H]; ``conn[a][a]`` is where a is
+    present.  Adding vertex v doubles every plane: masks without v keep
+    it, and with reach[a] the OR of ``conn[a][u]`` over the nodes u
+    adjacent to v, masks with v add ``reach[a] & reach[b]`` and connect a
+    to v on reach[a].  A node counts at X when no earlier node is
+    connected to it and its component is odd: the XOR of ``conn[a][b]``
+    over the odd-sized nodes b.
+    """
+    nodes = list(fixed)
+    conn = [[int(a == b) for b in range(len(nodes))] for a in range(len(nodes))]
+    for v in range(low):
+        width = 1 << v
+        near = [u for u, node in enumerate(nodes) if adj[v] & node]
+        reach = []
+        for row in conn:
+            r = 0
+            for u in near:
+                r |= row[u]
+            reach.append(r)
+        for a, row in enumerate(conn):
+            ra = reach[a]
+            for b in range(a, len(row)):
+                c = row[b]
+                row[b] = conn[b][a] = c | (c | ra & reach[b]) << width
+            row.append(ra << width)
+        conn.append([r << width for r in reach] + [((1 << width) - 1) << width])
+        nodes.append(1 << v)
+    odd = [b for b, node in enumerate(nodes) if node.bit_count() & 1]
+    counted = []
+    for a, row in enumerate(conn):
+        earlier = 0
+        for c in row[:a]:
+            earlier |= c
+        parity = 0
+        for b in odd:
+            parity ^= row[b]
+        counted.append(parity & ~earlier)
+    return _count_planes(counted)
 
 
 def factor_critical_mask(g: Graph, comp_mask: int) -> bool:

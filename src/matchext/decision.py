@@ -286,12 +286,12 @@ def _char_summary(g: Graph) -> list[list[int]]:
             return _edge_bound(*link)
         full = _engine.full_mask(g)
         rows = [[_NEG] * (g.order + 2) for _ in range(nu[full] + 1)]
-        for mask in range(full + 1):
+        # odd is indexed by mask, so reversed it lines up V - M with M
+        for mask, k, o in zip(range(full + 1), nu, reversed(odd)):
             s = mask.bit_count()
-            value = odd[full & ~mask] - s
-            row = rows[nu[mask]]
-            if value > row[s]:
-                row[s] = value
+            row = rows[k]
+            if o - s > row[s]:
+                row[s] = o - s
         return _max_folds(rows)
 
     return _engine.cached(g, "char_summary", build)

@@ -12,7 +12,8 @@ on every host; a violation is re-checked from scratch on freshly built
 graphs before being reported.  ``CHECKERS`` maps each id to ``check_<id>``,
 which adds one instance into the report it is given (or a fresh one-graph
 report).  The census gives each rule one report per graph, which every
-valid triple adds into, and merges those reports in stream order.
+valid triple adds into, decides the graph's own verdict once per triple for
+all rules, and merges those reports in stream order.
 """
 
 from __future__ import annotations
@@ -199,15 +200,18 @@ THEOREM_IDS = tuple(RULES)
 
 
 def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: int,
-              rep: TheoremReport) -> None:
-    """Add one instance of rule ``tid`` into ``rep``.  The graph's own
-    verdict is decided first and is the instance's only validation of its
-    triple, so an invalid triple raises before any precondition runs; an
-    unmet precondition is still the reason recorded, ahead of
-    ``not-an-nkd-graph``.  A violation is decided again on freshly built
-    graphs, which carry no caches, and its separator side by the subset
-    scan, so a wrong separator layer cannot confirm its own answer."""
-    holds = nkd_holds(g, p, cap=cap)
+              rep: TheoremReport, holds: bool | None) -> None:
+    """Add one instance of rule ``tid`` into ``rep``.  ``holds`` is the
+    graph's own verdict on ``p``, as :func:`nkd_holds` decided it with this
+    ``cap``; when it is None it is decided here first, and that is the
+    instance's only validation of its triple, so an invalid triple raises
+    before any precondition runs.  An unmet precondition is still the
+    reason recorded, ahead of ``not-an-nkd-graph``.  A violation is decided
+    again on freshly built graphs, which carry no caches, and its separator
+    side by the subset scan, so a wrong separator layer cannot confirm its
+    own answer."""
+    if holds is None:
+        holds = nkd_holds(g, p, cap=cap)
     rule = RULES[tid]
     for reason, test in rule.preconditions:
         if not test(g, p):
@@ -253,10 +257,10 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: in
 
 def _checker(tid: str):
     def check(g: Graph, p: NkdParams, cap: int | None = None, graph_index: int = 0,
-              report: TheoremReport | None = None) -> TheoremReport:
+              report: TheoremReport | None = None, holds: bool | None = None) -> TheoremReport:
         if report is None:
             report = TheoremReport(tid, graphs_examined=1)
-        _run_rule(tid, g, p, cap, graph_index, report)
+        _run_rule(tid, g, p, cap, graph_index, report, holds)
         return report
 
     check.__name__ = check.__qualname__ = f"check_{tid}"
@@ -332,11 +336,14 @@ class CensusResult:
 
 def check_graph(g: Graph, theorems=THEOREM_IDS, cap: int | None = None,
                 graph_index: int = 0) -> dict[str, TheoremReport]:
-    """Run the selected checkers over every valid triple of one graph."""
+    """Run the selected checkers over every valid triple of one graph.  The
+    graph's own verdict is decided once per triple and handed to each."""
     out = {tid: TheoremReport(tid, graphs_examined=1) for tid in theorems}
-    for p in valid_triples(g.order):
+    for p in valid_triples(g.order) if out else ():
+        holds = nkd_holds(g, p, cap=cap)
         for tid, report in out.items():
-            CHECKERS[tid](g, p, cap=cap, graph_index=graph_index, report=report)
+            CHECKERS[tid](g, p, cap=cap, graph_index=graph_index, report=report,
+                          holds=holds)
     return out
 
 

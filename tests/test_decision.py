@@ -461,7 +461,7 @@ def test_oracles_do_not_read_the_component_table(monkeypatch):
     monkeypatch.setattr(_engine, "component_table", refuse)
     fresh = Graph(g.order, g.edges)
     with pytest.raises(AssertionError, match="component table"):
-        _engine.odd_table(Graph(g.order, g.edges))
+        find_decomposition_witness(Graph(g.order, g.edges), dp, edge, "d1")
     assert _scan_decomposition_witness(fresh, dp, edge, "d1") == found
     assert all(verify_witness(fresh, p, w) for w in failures)
     assert verify_decomposition_witness(fresh, dp, found)

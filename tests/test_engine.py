@@ -38,6 +38,48 @@ def test_component_and_odd_tables_match_flood_fill(fixture, request):
             assert odd[m] == _engine.odd_component_count(adj, m), (g, m)
 
 
+@pytest.mark.parametrize("chunk", [_engine._CHUNK, 1 << 2], ids=["one-chunk", "chunks-of-4"])
+def test_odd_table_matches_flood_fill(chunk, monkeypatch, request):
+    # with chunks of 4 masks every graph above order 2 spans several chunks,
+    # each fixing components of the vertices from 2 up, as orders 17-24 do
+    monkeypatch.setattr(_engine, "_CHUNK", chunk)
+    for g in _graphs("orders0to16", request):
+        g = Graph(g.order, g.edges)
+        adj = _engine.adjacency_masks(g)
+        got = _engine.odd_table(g)
+        assert type(got) is list and len(got) == 1 << g.order, g
+        assert got == [_engine.odd_component_count(adj, m) for m in range(1 << g.order)], g
+        assert "comp_table" not in g._cache
+
+
+def test_odd_table_refuses_before_building(monkeypatch):
+    def build(*args):
+        raise AssertionError("built part of a table past the limit")
+
+    monkeypatch.setattr(_engine, "TABLE_LIMIT", 5)
+    for name in ("adjacency_masks", "component_split", "_odd_digits", "component_table"):
+        monkeypatch.setattr(_engine, name, build)
+    g = cycle(6)
+    with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
+        _engine.odd_table(g)
+    assert g._cache == {}
+
+
+def test_check_at_order_14_builds_no_component_table(monkeypatch, capsys):
+    from matchext import cli
+
+    g = random_graph(random.Random(14), 14, 0.55)
+    monkeypatch.setattr(cli, "_load_graph", lambda path, fmt: g)
+    exits = set()
+    for n, k, d in [(0, 1, 0), (2, 2, 0), (1, 3, 1), (4, 0, 2), (0, 6, 0)]:
+        exits.add(cli.main(["check", "--graph", "g.g6", "--n", str(n), "--k", str(k),
+                            "--d", str(d), "--method", "both"]))
+    capsys.readouterr()
+    assert exits == {cli.EXIT_OK, cli.EXIT_FAILS}
+    assert {"nu_table", "odd_table"} <= set(g._cache)
+    assert "comp_table" not in g._cache
+
+
 def _nu_by_every_neighbour(g):
     """The matching table by the plain subset DP: the lowest vertex is
     unmatched or matched to whichever in-mask neighbour does best."""

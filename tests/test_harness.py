@@ -339,6 +339,39 @@ def test_check_graph_two_colours_a_graph_once(monkeypatch):
     assert reports["D2"].applicable > 0
 
 
+def test_check_graph_decides_the_own_verdict_once_per_triple(monkeypatch):
+    real = harness.nkd_holds
+    asked = []
+
+    def counting(h, q, cap=None):
+        if h is g:
+            asked.append(q)
+        return real(h, q, cap=cap)
+
+    monkeypatch.setattr(harness, "nkd_holds", counting)
+    # A3, A4 and B2 also ask about the same graph as a host, at other triples
+    theorems = [tid for tid in harness.THEOREM_IDS if tid not in ("A3", "A4", "B2")]
+    for g in (complete(6), cycle(7), family_cliques_plus_edge(2, 1)):
+        asked.clear()
+        reports = check_graph(g, theorems)
+        assert asked == valid_triples(g.order), write_graph6(g)
+        assert sum(rep.applicable for rep in reports.values()) > 0
+    # a checker called alone still decides, and so validates, its triple
+    asked.clear()
+    g = complete(6)
+    assert check_D1(g, NkdParams(2, 1, 0)).applicable == 1
+    assert asked == [NkdParams(2, 1, 0)]
+
+
+def test_check_graph_refuses_a_lower_cap():
+    g = cycle(8)
+    with pytest.raises(SearchCapExceeded, match="decider"):
+        check_graph(g, cap=7)
+    with pytest.raises(SearchCapExceeded, match="decider"):
+        check_A3(g, NkdParams(2, 1, 0), cap=7)
+    assert check_graph(g, cap=8)["A3"].graphs_examined == 1
+
+
 def test_check_graph_sweeps_all_triples():
     reports = check_graph(complete(6), theorems=("A3", "D1"))
     assert set(reports) == {"A3", "D1"}
