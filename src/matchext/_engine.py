@@ -10,10 +10,9 @@ subset: the matching table from one plane per matching size
 planes over 2^16-mask chunks (:func:`odd_table`).  A bit-sliced counter
 adds planes into binary digits, and one conversion reads them into the
 table at one byte per mask (:func:`_byte_lanes`).  :func:`component_table`
-is built only for its two readers, the G - uv bound and the separator
-layer.  The flood fill (:func:`spread`, :func:`component_split`,
-:func:`odd_component_count`) stays for the oracles and slow paths that must
-not read the tables.
+is built only for its one reader, the G - uv bound.  The flood fill
+(:func:`spread`, :func:`component_split`, :func:`odd_component_count`)
+stays for the oracles and slow paths that must not read the tables.
 """
 
 from __future__ import annotations
@@ -216,7 +215,7 @@ def _nu_planes(adj: tuple[int, ...], order: int) -> list[int]:
 def component_table(g: Graph) -> array:
     """The component of the lowest vertex in every induced subgraph, as a
     vertex mask, indexed by bitmask; 4 bytes per subset.  Read by the
-    G - uv bound and the separator layer only.
+    G - uv bound only.
 
     Each entry is built from smaller ones.  With v the lowest vertex of M
     and R = M - v, the components of G[R] are ``table[R]``, then

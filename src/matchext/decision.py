@@ -14,6 +14,7 @@ Both are exhaustive and therefore capped by graph order; pass an explicit
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
@@ -573,14 +574,34 @@ def find_decomposition_witness(
     the edge's endpoints whose induced subgraph holds the required matching
     while the rest of the graph splits into exactly d factor-critical odd
     components plus the bare edge, or None when no such separator exists.
-    The answer is a lookup into the graph's separator layer for that size
-    (see :func:`_separator_layer`), built on first use and cached.
+
+    For uv to be bare, S holds the forced set F, every other neighbour of u
+    and v, so only the supersets of F are scanned.  The rest R = V - S - uv
+    is then read from the matching table alone: by Gallai's lemma every
+    component of G[R] is factor-critical exactly when no vertex w of R has
+    ``nu[R - w] < nu[R]``, and those components are odd and number
+    |R| - 2 ``nu[R]``.
     """
     edge, variant, need, size = _decomposition_query(g, params, edge, variant, cap)
+    adj = _engine.adjacency_masks(g)
     uv_mask = (1 << edge[0]) | (1 << edge[1])
-    for subset, smask, nu_s in _separator_layer(g, size).get((params.d, uv_mask), ()):
-        if nu_s >= need:
-            return _decomposition_witness(g, subset, smask, edge, variant, need)
+    forced = (adj[edge[0]] | adj[edge[1]]) & ~uv_mask
+    if forced.bit_count() > size:
+        return None
+    nu = _engine.nu_table(g)
+    full = _engine.full_mask(g)
+    free = [1 << w for w in _engine.bits_of(full & ~uv_mask & ~forced)]
+    # S = F + X comes out in lexicographic order: of two equal-size sets the
+    # one holding the least vertex of their symmetric difference is first,
+    # and adding the same disjoint F to both leaves that difference as it is
+    for x in map(sum, combinations(free, size - forced.bit_count())):
+        smask = forced | x
+        rest = full & ~smask & ~uv_mask
+        k = nu[rest]
+        if (nu[smask] >= need and rest.bit_count() - 2 * k == params.d
+                and all(nu[rest & ~(1 << w)] == k for w in _engine.bits_of(rest))):
+            return _decomposition_witness(g, tuple(_engine.bits_of(smask)), smask,
+                                          edge, variant, need)
     return None
 
 
@@ -590,9 +611,9 @@ def _decomposition_query(g: Graph, params: NkdParams, edge: Edge, variant: str,
     the edge's endpoints in increasing order, the variant lower-cased,
     ``need`` the matching size the separator must hold and ``size`` its
     order."""
-    variant = variant.lower()
-    if variant not in ("d1", "d3"):
+    if not isinstance(variant, str) or variant.lower() not in ("d1", "d3"):
         raise ParameterError(f"variant must be 'd1' or 'd3', got {variant!r}")
+    variant = variant.lower()
     n, k = params.n, params.k
     if variant == "d1" and n < 2:
         raise ParameterError(f"the d1 search needs n >= 2, got n={n}")
@@ -600,7 +621,10 @@ def _decomposition_query(g: Graph, params: NkdParams, edge: Edge, variant: str,
         raise ParameterError(f"the d3 search needs k >= 1, got k={k}")
     validate_params(g, params)
     _check_cap(g, cap, WITNESS_SEARCH_CAP, "decomposition search")
-    u, v = edge
+    try:
+        u, v = map(operator.index, edge)
+    except (TypeError, ValueError):
+        raise ParameterError(f"an edge is a pair of vertex ids, got {edge!r}") from None
     if not g.has_edge(u, v):
         raise ParameterError(f"({u}, {v}) is not an edge of the graph")
     need = k if variant == "d1" else k - 1
@@ -617,46 +641,6 @@ def _decomposition_witness(g: Graph, subset: tuple[int, ...], smask: int,
     return DecompositionWitness(subset, edge, variant, odd_comps, inner)
 
 
-def _separator_layer(g: Graph, size: int) -> dict[tuple[int, int], list]:
-    """Every separator S of ``size`` vertices such that G - S is exactly one
-    bare edge plus factor-critical odd components.
-
-    Keyed by (number of odd components, edge mask); each list holds
-    ``(subset, smask, nu[S])`` in lexicographic subset order, so the first
-    entry meeting a matching requirement is the one a subset scan finds.
-    Built once per (graph, size); each component of G - S is one lookup in
-    the graph's component table.
-    """
-
-    def build():
-        nu = _engine.nu_table(g)
-        lc = _engine.component_table(g)
-        full = _engine.full_mask(g)
-        layer: dict[tuple[int, int], list] = {}
-        for subset in combinations(range(g.order), size):
-            smask = _engine.mask_of(subset)
-            rest = full & ~smask
-            edge = odd = 0
-            while rest:
-                comp = lc[rest]
-                rest ^= comp
-                bits = comp.bit_count()
-                if bits & 1:
-                    if not _engine.factor_critical_mask(g, comp):
-                        break
-                    odd += 1
-                elif edge or bits != 2:
-                    break
-                else:
-                    edge = comp
-            else:
-                if edge:
-                    layer.setdefault((odd, edge), []).append((subset, smask, nu[smask]))
-        return layer
-
-    return _engine.cached(g, ("separator_layer", size), build)
-
-
 def _scan_decomposition_witness(
     g: Graph,
     params: NkdParams,
@@ -665,7 +649,8 @@ def _scan_decomposition_witness(
     cap: int | None = None,
 ) -> DecompositionWitness | None:
     """Subset-scan oracle for :func:`find_decomposition_witness`: the same
-    answer, searched afresh per query without the separator layer.
+    answer, searched afresh per query by flood fill, without the forced set
+    or the matching-table test of the rest.
 
     Scans all subsets of size n - 2 + 2k avoiding the edge's endpoints, in
     lexicographic order, and returns the first whose induced subgraph holds

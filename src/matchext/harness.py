@@ -208,7 +208,7 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: in
     before any precondition runs.  An unmet precondition is still the
     reason recorded, ahead of ``not-an-nkd-graph``.  A violation is decided
     again on freshly built graphs, which carry no caches, and its separator
-    side by the subset scan, so a wrong separator layer cannot confirm its
+    side by the subset scan, so a wrong separator search cannot confirm its
     own answer."""
     if holds is None:
         holds = nkd_holds(g, p, cap=cap)
@@ -334,11 +334,25 @@ class CensusResult:
         return lines
 
 
+def _theorem_ids(theorems) -> tuple[str, ...]:
+    """``theorems`` as a tuple; ParameterError names any unknown or repeated
+    id."""
+    theorems = tuple(theorems)
+    unknown = [t for t in theorems if t not in CHECKERS]
+    if unknown:
+        raise ParameterError(f"unknown theorem ids: {', '.join(map(repr, unknown))}")
+    repeated = dict.fromkeys(t for t in theorems if theorems.count(t) > 1)
+    if repeated:
+        raise ParameterError(f"repeated theorem ids: {', '.join(map(repr, repeated))}")
+    return theorems
+
+
 def check_graph(g: Graph, theorems=THEOREM_IDS, cap: int | None = None,
                 graph_index: int = 0) -> dict[str, TheoremReport]:
     """Run the selected checkers over every valid triple of one graph.  The
-    graph's own verdict is decided once per triple and handed to each."""
-    out = {tid: TheoremReport(tid, graphs_examined=1) for tid in theorems}
+    graph's own verdict is decided once per triple and handed to each.
+    Unknown or repeated theorem ids raise ParameterError."""
+    out = {tid: TheoremReport(tid, graphs_examined=1) for tid in _theorem_ids(theorems)}
     for p in valid_triples(g.order) if out else ():
         holds = nkd_holds(g, p, cap=cap)
         for tid, report in out.items():
@@ -381,13 +395,7 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
             f"jobs rule violated: jobs must be between 1 and the CPU count "
             f"{cpus}, got {jobs}"
         )
-    theorems = tuple(theorems)
-    unknown = [t for t in theorems if t not in CHECKERS]
-    if unknown:
-        raise ParameterError(f"unknown theorem ids: {', '.join(map(repr, unknown))}")
-    repeated = dict.fromkeys(t for t in theorems if theorems.count(t) > 1)
-    if repeated:
-        raise ParameterError(f"repeated theorem ids: {', '.join(map(repr, repeated))}")
+    theorems = _theorem_ids(theorems)
     if max_order is None:
         max_order = CENSUS_ORDER_CAP
     if max_order > CENSUS_ORDER_CAP and not allow_large:

@@ -418,6 +418,11 @@ def test_decomposition_witness_errors():
         find_decomposition_witness(h, NkdParams(2, 0, 2), (6, 7), "d3")
     with pytest.raises(ParameterError, match="variant"):
         find_decomposition_witness(h, NkdParams(2, 1, 2), (6, 7), "d2")
+    with pytest.raises(ParameterError, match="variant"):
+        find_decomposition_witness(h, NkdParams(2, 1, 2), (6, 7), None)
+    for bad in ((5, 6, 7), ("6", "7"), (6.0, 7.0), 6):
+        with pytest.raises(ParameterError, match="pair of vertex ids"):
+            find_decomposition_witness(h, NkdParams(2, 1, 2), bad, "d1")
     with pytest.raises(SearchCapExceeded):
         find_decomposition_witness(
             complete(15), NkdParams(2, 1, 1), (0, 1), "d1"
@@ -432,18 +437,26 @@ def _separator_queries(g):
                     yield p, edge, variant
 
 
-def test_separator_layer_matches_subset_scan(census7, disconnected1000, order8_sample):
-    # the layer lookup against the per-query subset scan, on a fresh graph
-    # so the scan shares no layer with the lookup
+def _witnesses_agreeing_with_scan(graphs) -> int:
+    # every separator query on each graph against the per-query subset
+    # scan on a fresh graph, which shares no cache with the search
     found = 0
-    for g in census7 + disconnected1000 + order8_sample[:40]:
+    for g in graphs:
         fresh = Graph(g.order, g.edges)
         for p, edge, variant in _separator_queries(g):
             got = find_decomposition_witness(g, p, edge, variant)
             want = _scan_decomposition_witness(fresh, p, edge, variant)
             assert (got and got.to_dict()) == (want and want.to_dict()), (g, p, edge, variant)
             found += got is not None
-    assert found > 1000
+    return found
+
+
+def test_separator_search_matches_subset_scan(census7, disconnected1000, order8_sample):
+    assert _witnesses_agreeing_with_scan(census7 + disconnected1000 + order8_sample[:40]) > 1000
+    # edges whose forced sets are empty or small, so the scan is widest
+    sparse = [disjoint_union(*[complete(2)] * 5), cycle(12), family_cliques_plus_edge(3, 1),
+              family_cliques_plus_edge_cone(2, 1), family_gadget_chain(2)]
+    assert _witnesses_agreeing_with_scan(sparse) > 500
 
 
 def test_oracles_do_not_read_the_component_table(monkeypatch):
@@ -461,7 +474,8 @@ def test_oracles_do_not_read_the_component_table(monkeypatch):
     monkeypatch.setattr(_engine, "component_table", refuse)
     fresh = Graph(g.order, g.edges)
     with pytest.raises(AssertionError, match="component table"):
-        find_decomposition_witness(Graph(g.order, g.edges), dp, edge, "d1")
+        _engine.component_table(fresh)
+    assert find_decomposition_witness(Graph(g.order, g.edges), dp, edge, "d1") == found
     assert _scan_decomposition_witness(fresh, dp, edge, "d1") == found
     assert all(verify_witness(fresh, p, w) for w in failures)
     assert verify_decomposition_witness(fresh, dp, found)
@@ -471,15 +485,22 @@ def test_oracles_do_not_read_the_component_table(monkeypatch):
     assert "comp_table" not in fresh._cache
 
 
-def test_separator_layer_built_once_per_size():
+def test_separator_search_reads_only_the_matching_table(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the separator search read a table other than nu")
+
+    for owner, name in ((_engine, "odd_table"), (_engine, "component_table"),
+                        (decision, "_char_summary")):
+        monkeypatch.setattr(owner, name, refuse)
     h = family_cliques_plus_edge(2, 1)
-    assert find_decomposition_witness(h, NkdParams(2, 1, 2), (6, 7), "d1") is not None
-    keys = set(h._cache)
-    assert ("separator_layer", 2) in keys
-    # same separator size 2: a miss and a hit answer from the built layer
-    assert find_decomposition_witness(h, NkdParams(2, 1, 2), (0, 1), "d1") is None
-    assert find_decomposition_witness(h, NkdParams(0, 2, 2), (6, 7), "d3") is not None
-    assert set(h._cache) == keys
+    w = find_decomposition_witness(h, NkdParams(2, 1, 2), (6, 7), "d1")
+    assert w is not None and w.separator == (0, 1)
+    assert set(h._cache) == {"adj_masks", "nu_table"}
+    # the forced set {2, ..., 5} of edge 0-1 outgrows the separator size 2,
+    # so the search answers before building any table
+    g = complete(6)
+    assert find_decomposition_witness(g, NkdParams(2, 1, 0), (0, 1), "d1") is None
+    assert set(g._cache) == {"adj_masks"}
 
 
 def _edits(g):

@@ -319,9 +319,12 @@ def test_check_graph_keeps_one_report_per_rule(monkeypatch):
     assert all(rep.graphs_examined == 1 for rep in reports.values())
 
 
-def test_check_graph_runs_a_repeated_id_once():
-    once = check_graph(cycle(6), theorems=("A3",))["A3"].to_dict()
-    assert check_graph(cycle(6), theorems=("A3", "A3"))["A3"].to_dict() == once
+def test_check_graph_rejects_unknown_and_repeated_theorem_ids():
+    # the same ids the census refuses, by the same messages
+    with pytest.raises(ParameterError, match="unknown theorem ids: 'A7'$"):
+        check_graph(cycle(6), theorems=("A7",))
+    with pytest.raises(ParameterError, match="repeated theorem ids: 'A3'$"):
+        check_graph(cycle(6), theorems=("A3", "A3"))
 
 
 def test_check_graph_two_colours_a_graph_once(monkeypatch):
