@@ -15,6 +15,7 @@ Both are exhaustive and therefore capped by graph order; pass an explicit
 from __future__ import annotations
 
 import operator
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Union
@@ -179,94 +180,75 @@ def is_nkd_by_definition(g: Graph, params: NkdParams, cap: int | None = None) ->
     deficiency above d.  The sets T = S + V(M) of the second case are
     exactly the (n + 2k)-sets with ``nu[T] >= k``: a k-matching of G[T]
     covers 2k of its vertices and the other n form S.  So the verdict is
-    one pass over the n-sets and one over the (n + 2k)-sets.
+    one pass over the n-sets and one over the (n + 2k)-sets, which collect
+    the violating sets.
 
     Only on failure is a witness named, for the first violation in
     deterministic order: deleted subsets lexicographic, matchings in
     canonical enumeration order; the blocking set of an inextensible
-    matching is the smallest-first lexicographically least one.  The first
-    violating n-set is found from the table alone
-    (:func:`_first_violating_set`), and the matching-by-matching scan runs
-    for that set only.
+    matching is the smallest-first lexicographically least one.  The
+    deleted set and the matching are read from the violating sets.
     """
     validate_params(g, params)
     _check_cap(g, cap, DECIDER_CAP, "decider")
-    if _definition_holds(g, *params.as_tuple()):
+    short, blocked = _violating_sets(g, *params.as_tuple())
+    if not short and not blocked:
         return Verdict(True)
-    nu = _engine.nu_table(g)
-    subset = _first_violating_set(g, nu, *params.as_tuple())
-    verdict = None if subset is None else _violation_at(g, nu, params, subset)
-    if verdict is None:
-        raise AssertionError("the (n + 2k)-set pass reported a violation the scan cannot find")
-    return verdict
+    return _first_violation(g, params, short, blocked)
 
 
-def _definition_holds(g: Graph, n: int, k: int, d: int) -> bool:
+def _violating_sets(g: Graph, n: int, k: int, d: int) -> tuple[array, array]:
+    """The short n-sets S (no k-matching in G - S) and the blocked
+    (n + 2k)-sets T (``nu[T] >= k``, deficiency of G - T above d), as masks
+    in 8-byte arrays: a lifted cap lets them number C(24, 12)."""
     nu = _engine.nu_table(g)
     full = _engine.full_mask(g)
-    if any(nu[full ^ s] < k for s in _engine.masks_of_size(g.order, n)):
-        return False
+    short = array("Q", (s for s in _engine.masks_of_size(g.order, n) if nu[full ^ s] < k))
     # deficiency |V - T| - 2 nu[V - T] > d, with |V - T| - d even
     need = (g.order - n - 2 * k - d) // 2
-    return not any(
-        nu[t] >= k and nu[full ^ t] < need
-        for t in _engine.masks_of_size(g.order, n + 2 * k)
-    )
+    blocked = array("Q", (t for t in _engine.masks_of_size(g.order, n + 2 * k)
+                          if nu[t] >= k and nu[full ^ t] < need))
+    return short, blocked
 
 
-def _first_violating_set(g: Graph, nu: list[int], n: int, k: int,
-                         d: int) -> tuple[int, ...] | None:
-    """The lexicographically first n-set S at which the definition fails,
-    read from the matching table ``nu`` alone: G - S has no k-matching, or
-    some 2k-set X of V - S has a perfect matching (``nu[X] >= k``) and
-    leaves ``nu[V - S - X]`` below the bound of :func:`_definition_holds`."""
-    full = _engine.full_mask(g)
-    need = (g.order - n - 2 * k - d) // 2
-    for subset in combinations(range(g.order), n):
-        rest = full & ~_engine.mask_of(subset)
-        if nu[rest] < k or any(
-            nu[x] >= k and nu[rest ^ x] < need
-            for x in map(sum, combinations([1 << v for v in _engine.bits_of(rest)], 2 * k))
-        ):
-            return subset
-    return None
-
-
-def _scan_definition(g: Graph, params: NkdParams) -> Verdict:
-    """The definition checked literally, for every n-subset S in
-    lexicographic order and every k-matching of G - S in canonical order;
-    the oracle that :func:`is_nkd_by_definition` is tested against."""
+def _first_violation(g: Graph, params: NkdParams, short: array, blocked: array) -> Verdict:
+    """The first violation, named from the sets of :func:`_violating_sets`.
+    A k-matching M of G - S fails to extend exactly when S + V(M) is
+    blocked, so the first failing n-set S is the lexicographically least
+    one that is short or lies in a blocked T with ``nu[T - S] >= k``, and
+    its first inextensible matching is the least of the first perfect
+    matchings of those G[T - S] (``g.edges`` is sorted, so canonical order
+    is tuple order)."""
+    n, k = params.n, params.k
     nu = _engine.nu_table(g)
-    for subset in combinations(range(g.order), params.n):
-        verdict = _violation_at(g, nu, params, subset)
-        if verdict is not None:
-            return verdict
-    return Verdict(True)
-
-
-def _violation_at(g: Graph, nu: list[int], params: NkdParams,
-                  subset: tuple[int, ...]) -> Verdict | None:
-    """The first violation with deleted set ``subset``, matchings taken in
-    canonical order, or None when G - S meets the definition; ``nu`` is the
-    graph's matching table."""
-    k, d = params.k, params.d
-    rest = _engine.full_mask(g) & ~_engine.mask_of(subset)
-    if nu[rest] < k:
-        return Verdict(False, NoKMatching(subset))
-    for medges, mmask in _matchings_in_mask(g.edges, rest, k):
-        rem = rest & ~mmask
-        if rem.bit_count() - 2 * nu[rem] > d:
-            blocker = _berge_blocker(g, rem, d)
-            if blocker is None:
-                raise AssertionError("no blocking set found for a deficient subgraph")
-            return Verdict(False, BlockedExtension(subset, medges, blocker))
-    return None
+    full = _engine.full_mask(g)
+    # (order,) follows every n-set in lexicographic order
+    first = min((tuple(_engine.bits_of(s)) for s in short), default=(g.order,))
+    for t in blocked:
+        vertices = _engine.bits_of(t)
+        if tuple(vertices[:n]) >= first:
+            continue
+        for subset in combinations(vertices, n):
+            if subset >= first:
+                break
+            if nu[t ^ _engine.mask_of(subset)] >= k:
+                first = subset
+                break
+    smask = _engine.mask_of(first)
+    if nu[full ^ smask] < k:
+        return Verdict(False, NoKMatching(first))
+    matching, t = min((next(_matchings_in_mask(g.edges, t ^ smask, k))[0], t)
+                      for t in blocked if t & smask == smask and nu[t ^ smask] >= k)
+    blocker = _berge_blocker(g, full ^ t, params.d)
+    if blocker is None:
+        raise AssertionError("no blocking set found for a deficient subgraph")
+    return Verdict(False, BlockedExtension(first, matching, blocker))
 
 
 def _char_summary(g: Graph) -> list[list[int]]:
     """summary[k][s]: the largest value of (odd components after deleting S)
-    minus |S| over subsets S of size s whose induced subgraph has a
-    k-matching; suffix-maximised over s so row lookups answer "any size >= s".
+    minus |S| over subsets S of size exactly s whose induced subgraph has a
+    k-matching.
 
     A graph built by :func:`_derived` links to its parent
     (``"derived_from"``) until this summary is built; the link is then
@@ -304,11 +286,6 @@ def _max_folds(rows: list[list[int]]) -> list[list[int]]:
         for s, value in enumerate(upper):
             if value > row[s]:
                 row[s] = value
-    # suffix max over sizes
-    for row in rows:
-        for s in range(len(row) - 2, -1, -1):
-            if row[s + 1] > row[s]:
-                row[s] = row[s + 1]
     return rows
 
 
@@ -399,8 +376,8 @@ def _characterization_holds(g: Graph, n: int, k: int, d: int) -> bool:
     replaced by the exact rows of a table-less copy, so every failure is
     decided exactly and the host caches no tables."""
     rows = _char_summary(g)
-    holds = rows[0][n] <= d - n and (
-        k >= len(rows) or n + 2 * k > g.order or rows[k][n + 2 * k] <= d - n - 2 * k)
+    holds = max(rows[0][n:]) <= d - n and (
+        k >= len(rows) or n + 2 * k > g.order or max(rows[k][n + 2 * k:]) <= d - n - 2 * k)
     if holds or not g._cache.pop("summary_is_bound", False):
         return holds
     g._cache["char_summary"] = _char_summary(Graph(g.order, g.edges))
@@ -427,28 +404,32 @@ def nkd_holds(g: Graph, params: NkdParams, cap: int | None = None) -> bool:
 def is_nkd_by_characterization(g: Graph, params: NkdParams, cap: int | None = None) -> Verdict:
     """Decide via the subset-count characterization.
 
-    Condition "i" is checked for every subset of size at least n and
-    condition "ii" for every subset of size at least n + 2k whose induced
-    subgraph contains a k-matching, with no pruning shortcuts.  Failure
-    returns the first violation in size-then-lexicographic subset order
-    (condition "i" tested before "ii" on each subset).
+    Condition "i" for every subset of size at least n, and condition "ii"
+    for every subset of size at least n + 2k whose induced subgraph
+    contains a k-matching, are read from the summary rows.  Failure returns
+    the first violation in size-then-lexicographic subset order (condition
+    "i" tested before "ii" on each subset): the rows name its size, and only
+    the subsets of that size are scanned.
     """
     validate_params(g, params)
     _check_cap(g, cap, DECIDER_CAP, "decider")
     n, k, d = params.as_tuple()
     if _characterization_holds(g, n, k, d):
         return Verdict(True)
+    # a failure has swapped any upper bound for the exact rows
+    rows = _char_summary(g)
+    size = next(s for s in range(n, g.order + 1) if rows[0][s] > d - n or (
+        s >= n + 2 * k and k < len(rows) and rows[k][s] > d - n - 2 * k))
     nu = _engine.nu_table(g)
     odd = _engine.odd_table(g)
     full = _engine.full_mask(g)
-    for size in range(n, g.order + 1):
-        for subset in combinations(range(g.order), size):
-            mask = _engine.mask_of(subset)
-            o = odd[full & ~mask]
-            if o > size - n + d:
-                return Verdict(False, CharacterizationViolation("i", subset))
-            if size >= n + 2 * k and nu[mask] >= k and o > size - n - 2 * k + d:
-                return Verdict(False, CharacterizationViolation("ii", subset))
+    for subset in combinations(range(g.order), size):
+        mask = _engine.mask_of(subset)
+        o = odd[full & ~mask]
+        if o > size - n + d:
+            return Verdict(False, CharacterizationViolation("i", subset))
+        if size >= n + 2 * k and nu[mask] >= k and o > size - n - 2 * k + d:
+            return Verdict(False, CharacterizationViolation("ii", subset))
     raise AssertionError("summary table reported a violation the scan cannot find")
 
 

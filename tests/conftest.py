@@ -149,3 +149,10 @@ def mixed_sample8() -> list[Graph]:
 @pytest.fixture(scope="session")
 def disconnected1000() -> list[Graph]:
     return disconnected_sample(1000, seed=4242)
+
+
+@pytest.fixture(scope="session")
+def order12_dense() -> list[Graph]:
+    """Three seeded order-12 graphs of density 0.5-0.6."""
+    rng = random.Random(12)
+    return [random_graph(rng, 12, rng.uniform(0.5, 0.6)) for _ in range(3)]

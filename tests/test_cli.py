@@ -79,6 +79,29 @@ def test_check_byte_identical_reruns(capsys, broken_file):
     assert (code1, out1) == (code2, out2)
 
 
+def test_one_process_answers_every_call_as_if_first(capsys, h_file, broken_file, tmp_path):
+    # the parser is built once per process; each call in a sequence must
+    # print and exit as the same call made first in its process
+    stream = tmp_path / "census.g6"
+    stream.write_text("\n".join(write_graph6(g) for g in connected_census(4)) + "\n")
+    calls = [
+        ("check", "--graph", broken_file, "--n", "0", "--k", "1", "--d", "2"),
+        ("census", "--input", str(stream)),
+        ("check", "--graph", h_file, "--method", "definition",
+         "--n", "2", "--k", "1", "--d", "2"),
+        ("witness", "--graph", h_file, "--n", "2", "--k", "1", "--d", "2",
+         "--edge", "6", "7", "--variant", "d1"),
+    ]
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    assert [run(capsys, *argv) for argv in calls] == first
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in first] == [1, 0, 0, 0]
+
+
 def test_check_cap_refusal(capsys, tmp_path):
     path = tmp_path / "big.g6"
     path.write_text(write_graph6(complete(17)) + "\n")

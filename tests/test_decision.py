@@ -37,8 +37,8 @@ from matchext.decision import (
     _cone_tables,
     _derived,
     _scan_decomposition_witness,
-    _scan_definition,
 )
+from matchext.matching import _berge_blocker, _matchings_in_mask
 from matchext.structure import components, odd_count_after_deletion
 from conftest import (
     complete,
@@ -301,10 +301,30 @@ def test_definition_decider_vs_naive_oracle():
             assert is_nkd_by_definition(g, p).holds == naive(g, p), (g, p)
 
 
-@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
+def _scan_definition(g, p):
+    """The definition checked literally, for every n-subset S in
+    lexicographic order and every k-matching of G - S in canonical order:
+    the oracle for the definition decider, which walks neither."""
+    nu = _engine.nu_table(g)
+    for subset in combinations(range(g.order), p.n):
+        rest = _engine.full_mask(g) & ~_engine.mask_of(subset)
+        if nu[rest] < p.k:
+            return Verdict(False, NoKMatching(subset))
+        for medges, mmask in _matchings_in_mask(g.edges, rest, p.k):
+            rem = rest & ~mmask
+            if rem.bit_count() - 2 * nu[rem] > p.d:
+                blocker = _berge_blocker(g, rem, p.d)
+                assert blocker is not None, (g, p, subset, medges)
+                return Verdict(False, BlockedExtension(subset, medges, blocker))
+    return Verdict(True)
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample",
+                                     "order12_dense"])
 def test_definition_pass_matches_the_scan(fixture, request):
-    # the (n + 2k)-set pass decides, the S-by-S scan names the witness;
-    # the verdict and witness must be the scan's on every triple
+    # the (n + 2k)-set pass decides and collects the violating sets, which
+    # name the witness; the verdict and witness must be the S-by-S scan's
+    # on every triple
     kinds = set()
     for g in request.getfixturevalue(fixture):
         g = Graph(g.order, g.edges)
@@ -312,7 +332,46 @@ def test_definition_pass_matches_the_scan(fixture, request):
             got = is_nkd_by_definition(g, p)
             assert got == _scan_definition(g, p), (g, p)
             kinds.add(type(got.witness))
-    assert kinds == {type(None), NoKMatching, BlockedExtension}
+    want = {type(None), NoKMatching, BlockedExtension}
+    # a dense order-12 graph keeps a k-matching after any n deletions
+    assert kinds == (want - {NoKMatching} if fixture == "order12_dense" else want)
+
+
+def _scan_characterization(g, p):
+    """Every subset of every size from n upward, in size-then-lexicographic
+    order, condition "i" tested before "ii" on each subset: the oracle for
+    the characterization witness, which scans one size only."""
+    n, k, d = p.as_tuple()
+    nu, odd = _engine.nu_table(g), _engine.odd_table(g)
+    full = _engine.full_mask(g)
+    for size in range(n, g.order + 1):
+        for subset in combinations(range(g.order), size):
+            mask = _engine.mask_of(subset)
+            o = odd[full & ~mask]
+            if o > size - n + d:
+                return Verdict(False, CharacterizationViolation("i", subset))
+            if size >= n + 2 * k and nu[mask] >= k and o > size - n - 2 * k + d:
+                return Verdict(False, CharacterizationViolation("ii", subset))
+    return Verdict(True)
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample",
+                                     "order12_dense"])
+def test_characterization_witness_matches_the_scan(fixture, request):
+    # the summary rows pick the witness's size; verdict and witness must be
+    # the all-sizes scan's on every triple, both conditions must occur, and
+    # some witness must lie above size n, where the two scans differ
+    conditions, above_n = set(), 0
+    for g in request.getfixturevalue(fixture):
+        g = Graph(g.order, g.edges)
+        for p in valid_triples(g.order):
+            got = is_nkd_by_characterization(g, p)
+            assert got == _scan_characterization(g, p), (g, p)
+            if not got.holds:
+                conditions.add(got.witness.condition)
+                above_n += len(got.witness.subset) > p.n
+    assert conditions == {"i", "ii"}
+    assert above_n > 0
 
 
 def _decide_workload_graphs(seed: int = 1) -> list[Graph]:
@@ -329,7 +388,7 @@ def test_definition_witness_matches_the_scan_at_order_14():
     failing = 0
     for g in _decide_workload_graphs():
         for p in valid_triples(g.order):
-            if not decision._definition_holds(g, *p.as_tuple()):
+            if any(decision._violating_sets(g, *p.as_tuple())):
                 failing += 1
                 assert is_nkd_by_definition(g, p) == _scan_definition(g, p), (g, p)
     assert failing >= 40
