@@ -4,19 +4,25 @@ Graphs are immutable, so every table computed here is memoised on the host
 instance (``g._cache``) and never invalidated.  Vertex subsets are plain
 Python ints used as bitmasks.
 
-Both count tables are built bit-parallel, as Python ints with one bit per
-subset: the matching table from one plane per matching size
-(:func:`nu_table`), the odd-component table from pairwise connectivity
-planes over 2^16-mask chunks (:func:`odd_table`).  A bit-sliced counter
-adds planes into binary digits, and one conversion reads them into the
-table at one byte per mask (:func:`_byte_lanes`).  :func:`component_table`
-is built only for its one reader, the G - uv bound.  The flood fill
+Both counts are built bit-parallel, as Python ints with one bit per
+subset, and the planes are cached: the matching planes P_j, the masks with
+``nu >= j`` (:func:`nu_planes`), and the binary digit planes of the
+odd-component count, from pairwise connectivity planes over 2^16-mask
+chunks (:func:`odd_digits`).  The deciders read their verdicts from the
+planes, with the size planes (:func:`size_planes`) and the reversal that
+maps mask M to V - M (:func:`reversed_plane`).  Only the readers that
+index single masks (witnesses, the G + uv and G - uv bound, the separator
+search) convert them, through a bit-sliced counter and one conversion at
+one byte per mask (:func:`_byte_lanes`), into the 2^n lists
+:func:`nu_table` and :func:`odd_table`.  :func:`component_table` is built
+only for its one reader, the G - uv bound.  The flood fill
 (:func:`spread`, :func:`component_split`, :func:`odd_component_count`)
 stays for the oracles and slow paths that must not read the tables.
 """
 
 from __future__ import annotations
 
+import functools
 from array import array
 from collections import deque
 
@@ -50,6 +56,11 @@ def full_mask(g: Graph) -> int:
     return (1 << g.order) - 1
 
 
+def every_mask(order: int) -> int:
+    """The 2^order-bit plane that holds every mask."""
+    return (1 << (1 << order)) - 1
+
+
 def mask_of(vertices) -> int:
     m = 0
     for v in vertices:
@@ -64,20 +75,6 @@ def bits_of(mask: int) -> list[int]:
         out.append(b.bit_length() - 1)
         mask ^= b
     return out
-
-
-def masks_of_size(order: int, size: int):
-    """Every ``size``-vertex subset of ``range(order)`` as a bitmask, in
-    increasing numeric order (Gosper's next-combination step)."""
-    if size == 0:
-        yield 0
-        return
-    m, end = (1 << size) - 1, 1 << order
-    while m < end:
-        yield m
-        low = m & -m
-        up = m + low
-        m = (((up ^ m) >> 2) // low) | up
 
 
 def spread(adj: tuple[int, ...], seed: int, mask: int) -> int:
@@ -125,6 +122,31 @@ def _require_table(g: Graph):
 _CHUNK = 1 << 16
 #: binary digit characters to their values, one byte each
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+#: every byte to the byte holding its 8 bits in reverse order
+_REVERSED_BITS = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
+
+
+@functools.cache
+def size_planes(order: int) -> tuple[int, ...]:
+    """``planes[s]``: the 2^order-bit set of masks of size s, for every s
+    from 0 to ``order``.  Adding vertex v doubles every plane: the masks
+    without v keep their size, the masks with v gain one."""
+    planes = [1]
+    for v in range(order):
+        width = 1 << v
+        planes = [low | high << width for low, high in zip(planes + [0], [0] + planes)]
+    return tuple(planes)
+
+
+def reversed_plane(plane: int, order: int) -> int:
+    """``plane`` over the 2^order masks read backwards, so that the bit of
+    mask M moves to V - M: a plane indexed by a kept set becomes one indexed
+    by the deleted set.  The bytes are read in the opposite order, each
+    with its bits reversed; below 8 bits the bit string is reversed."""
+    if order < 3:
+        return int(format(plane, f"0{1 << order}b")[::-1], 2)
+    data = plane.to_bytes(1 << order - 3, "big").translate(_REVERSED_BITS)
+    return int.from_bytes(data, "little")
 
 
 def _count_planes(planes) -> list[int]:
@@ -157,41 +179,50 @@ def _byte_lanes(digits: list[int], start: int, width: int) -> bytes:
     return lanes.to_bytes(width, "little")
 
 
-def nu_table(g: Graph) -> list[int]:
-    """Maximum matching size of every induced subgraph, indexed by bitmask.
+def _table(digits: list[int], order: int) -> list[int]:
+    """The counter ``digits`` over all 2^order masks as a list, converted
+    ``_CHUNK`` masks at a time (:func:`_byte_lanes`)."""
+    size = 1 << order
+    width = min(size, _CHUNK)
+    table = [0] * size
+    for start in range(0, size, width):
+        table[start:start + width] = _byte_lanes(digits, start, width)
+    return table
 
-    Built bit-parallel: a Python int of 2^n bits holds one bit per subset,
-    and plane P_j is the set of masks M with ``nu[M] >= j``.  With Z_b the
-    masks lacking vertex b, ``nu[M] >= j + 1`` exactly when some edge ab of
-    G[M] has ``nu[M - a - b] >= j``, so P_{j+1} is the OR over edges ab of
+
+def nu_planes(g: Graph) -> list[int]:
+    """``planes[j - 1]``: plane P_j, the 2^n-bit set of masks M with
+    ``nu[M] >= j``, for every j up to the graph's matching number.
+
+    A Python int of 2^n bits holds one bit per subset.  With Z_b the masks
+    lacking vertex b, ``nu[M] >= j + 1`` exactly when some edge ab of G[M]
+    has ``nu[M - a - b] >= j``, so P_{j+1} is the OR over edges ab of
     ``(P_j & Z_a & Z_b) << (2^a + 2^b)``.  The planes are grown one vertex
     at a time, which needs only the edges at the new vertex v: a mask
     M + v, with M over the vertices below v, is in P_{j+1} when M is (v
     unmatched) or when M = X + b with X in P_j and b a neighbour of v, that
     is ``(P_j & Z_b) << 2^b``.  Growth stops at the first empty plane.
-
-    ``nu[M]`` is the number of planes that hold M.  A bit-sliced counter
-    adds the planes into binary digit planes, which :func:`_byte_lanes`
-    reads one byte per mask, ``_CHUNK`` masks at a time.  Nothing but the
-    table is cached; the planes are gone when it returns.
     """
 
     def build():
         _require_table(g)
-        size = 1 << g.order
-        digits = _count_planes(_nu_planes(adjacency_masks(g), g.order))
-        width = min(size, _CHUNK)
-        table = [0] * size
-        for start in range(0, size, width):
-            table[start:start + width] = _byte_lanes(digits, start, width)
-        return table
+        return _nu_planes(adjacency_masks(g), g.order)
 
-    return cached(g, "nu_table", build)
+    return cached(g, "nu_planes", build)
+
+
+def nu_table(g: Graph) -> list[int]:
+    """Maximum matching size of every induced subgraph, indexed by bitmask.
+
+    ``nu[M]`` is the number of the cached planes (:func:`nu_planes`) that
+    hold M: a bit-sliced counter adds them into binary digit planes, which
+    :func:`_table` converts to the list.
+    """
+    return cached(g, "nu_table", lambda: _table(_count_planes(nu_planes(g)), g.order))
 
 
 def _nu_planes(adj: tuple[int, ...], order: int) -> list[int]:
-    """``planes[j - 1]``: the 2^order-bit set of masks M with ``nu[M] >= j``,
-    for every j up to the graph's matching number (see :func:`nu_table`)."""
+    """The planes of :func:`nu_planes`, from the adjacency masks."""
     planes: list[int] = []
     lacking: list[int] = []  # lacking[b]: the masks below vertex v without b
     for v in range(order):
@@ -246,29 +277,43 @@ def component_table(g: Graph) -> array:
     return cached(g, "comp_table", build)
 
 
-def odd_table(g: Graph) -> list[int]:
-    """Odd-component count of every induced subgraph, indexed by bitmask.
+def odd_digits(g: Graph) -> list[int]:
+    """The binary digits, least significant first, of the odd-component
+    count of every induced subgraph, as 2^n-bit planes.
 
     Built from connectivity planes, one chunk of ``_CHUNK`` masks at a
     time.  The low vertices are those below c = log2(``_CHUNK``); each
     chunk fixes the set H of high vertices it holds, and the components of
     G[H] are always present nodes.  :func:`_odd_digits` counts, for every
-    set X of low vertices, the odd components of G[X + H].  Up to order c
-    there is one chunk, with H empty.
+    set X of low vertices, the odd components of G[X + H], and each chunk's
+    digits are placed at its offset.  Up to order c there is one chunk,
+    with H empty.
     """
 
     def build():
         _require_table(g)
         adj = adjacency_masks(g)
         low = min(g.order, _CHUNK.bit_length() - 1)
-        width = 1 << low
-        table = [0] * (1 << g.order)
-        for start in range(0, len(table), width):
-            digits = _odd_digits(adj, low, component_split(adj, start))
-            table[start:start + width] = _byte_lanes(digits, 0, width)
-        return table
+        chunks = [_odd_digits(adj, low, component_split(adj, start))
+                  for start in range(0, 1 << g.order, 1 << low)]
+        digits = []
+        for t in range(max(map(len, chunks))):
+            # adjacent pieces pair up, each pair a piece twice as wide
+            pieces, width = [c[t] if t < len(c) else 0 for c in chunks], 1 << low
+            while len(pieces) > 1:
+                pieces = [lo | hi << width for lo, hi in zip(pieces[::2], pieces[1::2])]
+                width <<= 1
+            digits.append(pieces[0])
+        return digits
 
-    return cached(g, "odd_table", build)
+    return cached(g, "odd_digits", build)
+
+
+def odd_table(g: Graph) -> list[int]:
+    """Odd-component count of every induced subgraph, indexed by bitmask:
+    the cached digit planes (:func:`odd_digits`) converted by
+    :func:`_table`."""
+    return cached(g, "odd_table", lambda: _table(odd_digits(g), g.order))
 
 
 def _odd_digits(adj: tuple[int, ...], low: int, fixed: list[int]) -> list[int]:

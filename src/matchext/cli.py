@@ -197,7 +197,9 @@ def cmd_census(args) -> int:
     except ValueError:
         raise ParameterError(f"{MAX_ORDER_ENV} must be an integer, got {raw_order!r}") from None
     max_order = args.max_order if args.max_order is not None else default_order
-    theorems = tuple(args.theorems.split(",")) if args.theorems else THEOREM_IDS
+    if args.theorems == "":
+        raise ParameterError("--theorems must name at least one rule")
+    theorems = THEOREM_IDS if args.theorems is None else tuple(args.theorems.split(","))
     with _open_input(args.input) as stream:
         result = run_census(
             stream,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from typing import Union
 
 from . import _engine
@@ -200,15 +200,30 @@ def is_nkd_by_definition(g: Graph, params: NkdParams, cap: int | None = None) ->
 def _violating_sets(g: Graph, n: int, k: int, d: int) -> tuple[array, array]:
     """The short n-sets S (no k-matching in G - S) and the blocked
     (n + 2k)-sets T (``nu[T] >= k``, deficiency of G - T above d), as masks
-    in 8-byte arrays: a lifted cap lets them number C(24, 12)."""
-    nu = _engine.nu_table(g)
-    full = _engine.full_mask(g)
-    short = array("Q", (s for s in _engine.masks_of_size(g.order, n) if nu[full ^ s] < k))
+    in 8-byte arrays: a lifted cap lets them number C(24, 12).
+
+    Both are read from the matching planes, with L_s the masks of size s
+    and rev(P) the plane P indexed by complement: the short sets are
+    ``L_n & ~rev(P_k)`` and the blocked ones ``L_{n+2k} & P_k &
+    ~rev(P_need)``.  Only when either plane is nonzero are its masks
+    listed."""
+    order = g.order
+    sizes = _engine.size_planes(order)
+    # planes[j]: P_j, with P_0 every mask and no mask past the matching number
+    planes = [_engine.every_mask(order)] + _engine.nu_planes(g) + [0] * order
+    short = sizes[n] & ~_engine.reversed_plane(planes[k], order)
     # deficiency |V - T| - 2 nu[V - T] > d, with |V - T| - d even
-    need = (g.order - n - 2 * k - d) // 2
-    blocked = array("Q", (t for t in _engine.masks_of_size(g.order, n + 2 * k)
-                          if nu[t] >= k and nu[full ^ t] < need))
-    return short, blocked
+    need = (order - n - 2 * k - d) // 2
+    blocked = sizes[n + 2 * k] & planes[k] & ~_engine.reversed_plane(planes[need], order)
+    if not short and not blocked:
+        return array("Q"), array("Q")
+    return _masks_in(short, order), _masks_in(blocked, order)
+
+
+def _masks_in(plane: int, order: int) -> array:
+    """The masks a 2^order-bit plane holds, in increasing order."""
+    size = 1 << order
+    return array("Q", compress(range(size), _engine._byte_lanes([plane], 0, size)))
 
 
 def _first_violation(g: Graph, params: NkdParams, short: array, blocked: array) -> Verdict:
@@ -250,10 +265,11 @@ def _char_summary(g: Graph) -> list[list[int]]:
     minus |S| over subsets S of size exactly s whose induced subgraph has a
     k-matching.
 
-    A graph built by :func:`_derived` links to its parent
+    The rows are read from the planes (:func:`_plane_rows`), without a 2^n
+    list.  A graph built by :func:`_derived` links to its parent
     (``"derived_from"``) until this summary is built; the link is then
-    dropped so that no parent <-> child cycle survives.  The cone folds
-    tables extended exactly from its parent's (:func:`_cone_tables`).  For
+    dropped so that no parent <-> child cycle survives.  The cone's planes
+    are extended exactly from its parent's (:func:`_cone_planes`).  For
     G + uv and G - uv the rows are only an upper bound
     (:func:`_edge_bound`), flagged by ``"summary_is_bound"`` until
     :func:`_characterization_holds` swaps in exact rows."""
@@ -261,23 +277,42 @@ def _char_summary(g: Graph) -> list[list[int]]:
     def build():
         link = g._cache.pop("derived_from", None)
         if link is None:
-            nu, odd = _engine.nu_table(g), _engine.odd_table(g)
+            planes, digits = _engine.nu_planes(g), _engine.odd_digits(g)
         elif link[1] == "cone":
-            nu, odd = _cone_tables(g, link[0])
+            planes, digits = _cone_planes(g, link[0])
         else:
             g._cache["summary_is_bound"] = True
             return _edge_bound(*link)
-        full = _engine.full_mask(g)
-        rows = [[_NEG] * (g.order + 2) for _ in range(nu[full] + 1)]
-        # odd is indexed by mask, so reversed it lines up V - M with M
-        for mask, k, o in zip(range(full + 1), nu, reversed(odd)):
-            s = mask.bit_count()
-            row = rows[k]
-            if o - s > row[s]:
-                row[s] = o - s
-        return _max_folds(rows)
+        return _plane_rows(g.order, planes, digits)
 
     return _engine.cached(g, "char_summary", build)
+
+
+def _plane_rows(order: int, planes: list[int], digits: list[int]) -> list[list[int]]:
+    """The summary rows from the matching planes P_1, P_2, ... and the odd
+    count's digit planes.  Reversed, the digits give the odd count of V - S
+    at S.  Row k at size s is the largest count over ``P_k & L_s``, with P_0
+    every mask and L_s the masks of size s, minus s; the maximum is taken
+    bit-sliced, keeping from the top digit down the candidates that hold
+    it whenever any does.  P_k holds every mask with a larger matching, so
+    the rows need no fold."""
+    rev = [_engine.reversed_plane(digit, order) for digit in reversed(digits)]
+    top = len(rev) - 1
+    sizes = _engine.size_planes(order)
+    rows = []
+    for k, plane in enumerate([_engine.every_mask(order)] + planes):
+        row = [_NEG] * (order + 2)
+        for s in range(2 * k, order + 1):
+            held = plane & sizes[s]
+            if held:
+                best = 0
+                for t, digit in enumerate(rev):
+                    if held & digit:
+                        held &= digit
+                        best |= 1 << top - t
+                row[s] = best - s
+        rows.append(row)
+    return rows
 
 
 def _max_folds(rows: list[list[int]]) -> list[list[int]]:
@@ -303,15 +338,29 @@ def _derived(g: Graph, method: str, *args) -> Graph:
     return _engine.cached(g, ("derived", method) + args, build)
 
 
-def _cone_tables(h: Graph, parent: Graph) -> tuple[list[int], list[int]]:
-    """The ``nu`` and ``odd`` tables of the cone ``h`` of ``parent``, for one
-    summary fold; never cached on ``h``.  With apex a, ``nu[M + a]`` is
-    ``nu[M]`` plus one when M leaves a vertex exposed, and R + a is
-    connected."""
+def _cone_planes(h: Graph, parent: Graph) -> tuple[list[int], list[int]]:
+    """The matching planes and odd-count digits of the cone ``h`` of
+    ``parent``, extended exactly from the parent's; never cached on ``h``.
+    The apex a is vertex n, so the masks holding it are the upper half.
+    ``nu[M + a]`` is ``nu[M]`` plus one when M is in E, the masks that are
+    not perfectly matchable, so P'_j = P_j | (P_j | P_{j-1} & E) << 2^n.
+    G[M + a] is connected, so its odd count is 1 exactly when |M| is even:
+    digit 0 gains the even-size masks in the upper half, and the other
+    digits are unchanged."""
     _engine._require_table(h)
-    nu, odd = _engine.nu_table(parent), _engine.odd_table(parent)
-    return (nu + [k + (m.bit_count() > 2 * k) for m, k in enumerate(nu)],
-            odd + [(m.bit_count() + 1) & 1 for m in range(len(odd))])
+    n = parent.order
+    planes, digits = _engine.nu_planes(parent), _engine.odd_digits(parent)
+    sizes = _engine.size_planes(n)
+    everything = _engine.every_mask(n)
+    perfect = sizes[0]
+    for j, plane in enumerate(planes, 1):
+        perfect |= plane & sizes[2 * j]
+    exposed = everything & ~perfect
+    cone = [p | (p | below & exposed) << (1 << n)
+            for p, below in zip(planes + [0], [everything] + planes)]
+    even = sum(sizes[::2])  # the size planes are disjoint
+    odd = digits or [0]
+    return cone if cone[-1] else cone[:-1], [odd[0] | even << (1 << n)] + odd[1:]
 
 
 def _edge_bound(parent: Graph, method: str, args: tuple) -> list[list[int]]:

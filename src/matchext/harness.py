@@ -387,7 +387,8 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
     but not processed; the deciders' order cap is ``max_order + 1`` or
     ``CENSUS_ORDER_CAP``, whichever is larger.  ``jobs > 1`` checks graphs
     in a pool of worker processes; results are merged in input order either
-    way.  ``jobs`` must lie in 1..os.cpu_count().
+    way.  ``jobs`` must lie in 1..os.cpu_count(), and ``max_order`` must
+    not be negative.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
@@ -398,6 +399,8 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
     theorems = _theorem_ids(theorems)
     if max_order is None:
         max_order = CENSUS_ORDER_CAP
+    if max_order < 0:
+        raise ParameterError(f"census max order must be non-negative, got {max_order}")
     if max_order > CENSUS_ORDER_CAP and not allow_large:
         raise SearchCapExceeded(
             f"census max order {max_order} exceeds the default cap of "

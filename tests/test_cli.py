@@ -275,6 +275,19 @@ def test_census_max_order_refusal(capsys, tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("flag, env", [("-3", None), (None, "-3")])
+def test_census_refuses_a_negative_max_order(capsys, tmp_path, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("MATCHEXT_MAX_ORDER", env)
+    stream = tmp_path / "s.g6"
+    stream.write_text(write_graph6(cycle(4)) + "\n")
+    argv = ["census", "--input", str(stream)] + (["--max-order", flag] if flag else [])
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "error: census max order must be non-negative, got -3\n"
+    assert out == ""
+
+
 def test_census_theorem_selection_and_env_default(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("MATCHEXT_MAX_ORDER", "5")
     stream = tmp_path / "s.g6"
@@ -290,6 +303,7 @@ def test_census_theorem_selection_and_env_default(capsys, tmp_path, monkeypatch)
 @pytest.mark.parametrize("theorems, named", [
     ("A3,A3", "repeated theorem ids: 'A3'"),
     ("A3,", "unknown theorem ids: ''"),
+    ("", "--theorems must name at least one rule"),
 ])
 def test_census_rejects_repeated_or_empty_theorem_ids(capsys, tmp_path, theorems, named):
     stream = tmp_path / "s.g6"

@@ -34,7 +34,7 @@ import matchext.decision as decision
 from matchext.decision import (
     _char_summary,
     _characterization_holds,
-    _cone_tables,
+    _cone_planes,
     _derived,
     _scan_decomposition_witness,
 )
@@ -403,16 +403,90 @@ def test_definition_verdict_reads_only_the_matching_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("the definition decider read a table other than nu")
 
-    for name in ("odd_table", "component_table"):
+    for name in ("odd_table", "odd_digits", "component_table"):
         monkeypatch.setattr(_engine, name, refuse)
     monkeypatch.setattr(decision, "_char_summary", refuse)
     g = family_cliques_plus_edge(2, 1)
     assert is_nkd_by_definition(g, NkdParams(2, 1, 2)) == Verdict(True)
     got = is_nkd_by_definition(hubs, NkdParams(2, 1, 1))
     assert got == Verdict(False, NoKMatching(deleted=(0, 1)))
-    assert set(g._cache) | set(hubs._cache) == {"adj_masks", "nu_table"}
+    # the verdict reads the planes; only a witness lists the matching table
+    assert set(g._cache) == {"adj_masks", "nu_planes"}
+    assert set(hubs._cache) == {"adj_masks", "nu_planes", "nu_table"}
     with pytest.raises(AssertionError, match="other than nu"):
         is_nkd_by_definition(g, NkdParams(2, 1, 0))
+
+
+def test_holding_triple_builds_no_list():
+    # both deciders read a holding verdict from the planes, so a holding
+    # order-14 check converts no plane into a 2^n list
+    g = _decide_workload_graphs()[0]
+    p = NkdParams(2, 2, 2)
+    assert is_nkd_by_definition(g, p) == is_nkd_by_characterization(g, p) == Verdict(True)
+    assert {"nu_planes", "odd_digits", "char_summary"} <= set(g._cache)
+    assert not {"nu_table", "odd_table"} & set(g._cache)
+
+
+def _fold_summary(g):
+    """The summary rows by a fold over the 2^n lists: each mask raises the
+    entry at its matching number and size, and each row is then raised to
+    the rows of larger matchings.  The oracle for the plane rows, which
+    list nothing."""
+    nu, odd = _engine.nu_table(g), _engine.odd_table(g)
+    full = _engine.full_mask(g)
+    rows = [[decision._NEG] * (g.order + 2) for _ in range(nu[full] + 1)]
+    # odd is indexed by mask, so reversed it lines up V - M with M
+    for mask, k, o in zip(range(full + 1), nu, reversed(odd)):
+        s = mask.bit_count()
+        if o - s > rows[k][s]:
+            rows[k][s] = o - s
+    for upper, row in zip(rows[:0:-1], rows[-2::-1]):
+        row[:] = map(max, row, upper)
+    return rows
+
+
+def _plane_fixture(fixture, request) -> list[Graph]:
+    if fixture == "order17":
+        # its planes span two chunks of 2^16 masks, its cone's four
+        return [random_graph(random.Random(17), 17, 0.25)]
+    return request.getfixturevalue(fixture)
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample", "order17"])
+def test_plane_rows_match_the_list_fold(fixture, request):
+    # a base graph's rows from its own planes, the cone's from planes
+    # extended from its parent's, each against the fold on a fresh copy
+    for g in _plane_fixture(fixture, request):
+        parent = Graph(g.order, g.edges)
+        for h in (parent, _derived(parent, "cone")):
+            assert _char_summary(h) == _fold_summary(Graph(h.order, h.edges)), (g, h.order)
+
+
+def _scan_violating_sets(g, n, k, d):
+    """The short n-sets and blocked (n + 2k)-sets by a test of every mask
+    against the matching table: the oracle for the plane-read sets."""
+    nu, full = _engine.nu_table(g), _engine.full_mask(g)
+    need = (g.order - n - 2 * k - d) // 2
+    short = [m for m in range(full + 1) if m.bit_count() == n and nu[full ^ m] < k]
+    blocked = [m for m in range(full + 1)
+               if m.bit_count() == n + 2 * k and nu[m] >= k and nu[full ^ m] < need]
+    return short, blocked
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample", "order17"])
+def test_violating_sets_match_a_per_mask_scan(fixture, request):
+    seen = set()
+    for g in _plane_fixture(fixture, request):
+        g = Graph(g.order, g.edges)
+        # every seventh triple at order 17, where a scan walks 2^17 masks
+        for p in valid_triples(g.order)[::7 if g.order == 17 else 1]:
+            short, blocked = decision._violating_sets(g, *p.as_tuple())
+            assert short.typecode == blocked.typecode == "Q"
+            assert (list(short), list(blocked)) == _scan_violating_sets(g, *p.as_tuple()), (g, p)
+            seen.add((bool(short), bool(blocked)))
+    # holding, blocked only and both; short only does not occur at order 17
+    want = {(False, False), (False, True), (True, True)}
+    assert seen == (want if fixture == "order17" else want | {(True, False)})
 
 
 def test_downward_closure_spot():
@@ -554,7 +628,7 @@ def test_separator_search_reads_only_the_matching_table(monkeypatch):
     h = family_cliques_plus_edge(2, 1)
     w = find_decomposition_witness(h, NkdParams(2, 1, 2), (6, 7), "d1")
     assert w is not None and w.separator == (0, 1)
-    assert set(h._cache) == {"adj_masks", "nu_table"}
+    assert set(h._cache) == {"adj_masks", "nu_planes", "nu_table"}
     # the forced set {2, ..., 5} of edge 0-1 outgrows the separator size 2,
     # so the search answers before building any table
     g = complete(6)
@@ -576,7 +650,7 @@ def _edits(g):
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
 def test_derived_summary_matches_fresh(fixture, request, monkeypatch):
     # every valid triple decided on the host against a fresh copy, then the
-    # cone's tables extended from the parent's and the upper bound of G + uv
+    # cone's planes extended from the parent's and the upper bound of G + uv
     # and G - uv against the copy's tables and summary.  A host decides a
     # failing target on a table-less copy of itself; that copy is recorded
     # and serves as the fresh graph, so each edit builds its tables once.  A
@@ -602,8 +676,8 @@ def test_derived_summary_matches_fresh(fixture, request, monkeypatch):
             want = [_characterization_holds(fresh, *p.as_tuple()) for p in params]
             assert decided == want, (g, edit)
             if edit[0] == "cone":
-                tables = _cone_tables(h, parent)
-                assert tables == (_engine.nu_table(fresh), _engine.odd_table(fresh)), (g, edit)
+                planes = _cone_planes(h, parent)
+                assert planes == (_engine.nu_planes(fresh), _engine.odd_digits(fresh)), (g, edit)
             exact = _char_summary(fresh)
             assert len(rows) >= len(exact), (g, edit)
             for row, exact_row in zip(rows, exact):

@@ -127,8 +127,40 @@ def test_nu_table_refuses_before_allocating(monkeypatch):
     assert g._cache == {}
 
 
-def test_masks_of_size_lists_every_subset_in_order():
+def test_size_planes_hold_every_subset_of_each_size():
     for order in range(9):
-        for size in range(order + 1):
-            want = sorted(_engine.mask_of(c) for c in combinations(range(order), size))
-            assert list(_engine.masks_of_size(order, size)) == want, (order, size)
+        planes = _engine.size_planes(order)
+        assert len(planes) == order + 1, order
+        for size, plane in enumerate(planes):
+            want = sum(1 << _engine.mask_of(c) for c in combinations(range(order), size))
+            assert plane == want, (order, size)
+
+
+def test_reversed_plane_moves_each_mask_to_its_complement():
+    # orders below 3 span less than a byte and reverse the bit string
+    rng = random.Random(3)
+    for order in range(12):
+        full = (1 << order) - 1
+        for plane in [0, (1 << (1 << order)) - 1] + [rng.getrandbits(1 << order) for _ in range(4)]:
+            want = sum(1 << (full ^ m) for m in range(1 << order) if plane >> m & 1)
+            assert _engine.reversed_plane(plane, order) == want, (order, plane)
+
+
+@pytest.mark.parametrize("chunk", [_engine._CHUNK, 1 << 4], ids=["one-chunk", "chunks-of-16"])
+def test_tables_convert_the_cached_planes(chunk, monkeypatch):
+    # nu[M] counts the planes holding M, odd[M] reads M's bit of each digit
+    # plane, and neither table builds a plane again
+    monkeypatch.setattr(_engine, "_CHUNK", chunk)
+    g = random_graph(random.Random(10), 10, 0.3)
+    planes, digits = _engine.nu_planes(g), _engine.odd_digits(g)
+
+    def rebuild(*args):
+        raise AssertionError("a plane was built twice")
+
+    monkeypatch.setattr(_engine, "_nu_planes", rebuild)
+    monkeypatch.setattr(_engine, "_odd_digits", rebuild)
+    nu, odd = _engine.nu_table(g), _engine.odd_table(g)
+    for m in range(1 << g.order):
+        assert nu[m] == sum(plane >> m & 1 for plane in planes), m
+        assert odd[m] == sum((digit >> m & 1) << t for t, digit in enumerate(digits)), m
+    assert len(planes) == nu[-1] and len(digits) == max(odd).bit_length()

@@ -507,6 +507,17 @@ def test_run_census_order_cap_refusal():
     assert run_census([], max_order=30, allow_large=True).graphs == 0
 
 
+def test_run_census_refuses_a_negative_max_order(monkeypatch):
+    # a negative bound would skip every graph and still pass
+    def refuse(*args, **kwargs):
+        pytest.fail("a graph was decoded before the max order was checked")
+
+    monkeypatch.setattr(harness, "read_graph6", refuse)
+    with pytest.raises(ParameterError, match="max order must be non-negative, got -3"):
+        run_census([write_graph6(cycle(4))], max_order=-3)
+    assert run_census([], max_order=0).passed
+
+
 def test_run_census_unknown_theorem():
     with pytest.raises(ParameterError, match="Z9"):
         run_census([], theorems=("A3", "Z9"))
