@@ -8,13 +8,16 @@ Both counts are built bit-parallel, as Python ints with one bit per
 subset, and the planes are cached: the matching planes P_j, the masks with
 ``nu >= j`` (:func:`nu_planes`), and the binary digit planes of the
 odd-component count, from pairwise connectivity planes over 2^16-mask
-chunks (:func:`odd_digits`).  The deciders read their verdicts from the
-planes, with the size planes (:func:`size_planes`) and the reversal that
-maps mask M to V - M (:func:`reversed_plane`).  Only the readers that
-index single masks (witnesses, the G + uv and G - uv bound, the separator
-search) convert them, through a bit-sliced counter and one conversion at
-one byte per mask (:func:`_byte_lanes`), into the 2^n lists
-:func:`nu_table` and :func:`odd_table`.  :func:`component_table` is built
+chunks (:func:`odd_digits`).  The deciders read their verdicts and
+witnesses from the planes, with the size planes (:func:`size_planes`), the
+vertex planes (:func:`vertex_planes`), the reversal that maps mask M to
+V - M (:func:`reversed_plane`), a bit-sliced comparison with a constant
+(:func:`count_above`) and the lexicographically first mask of a plane
+(:func:`first_mask`).  Only the readers that index single masks (the
+G + uv and G - uv bound, the separator search) convert them, through a
+bit-sliced counter and one conversion at one byte per mask
+(:func:`_byte_lanes`), into the 2^n lists :func:`nu_table` and
+:func:`odd_table`.  :func:`component_table` is built
 only for its one reader, the G - uv bound.  The flood fill
 (:func:`spread`, :func:`component_split`, :func:`odd_component_count`)
 stays for the oracles and slow paths that must not read the tables.
@@ -136,6 +139,47 @@ def size_planes(order: int) -> tuple[int, ...]:
         width = 1 << v
         planes = [low | high << width for low, high in zip(planes + [0], [0] + planes)]
     return tuple(planes)
+
+
+@functools.cache
+def vertex_planes(order: int) -> tuple[int, ...]:
+    """``planes[v]``: the 2^order-bit set of masks holding vertex v, for
+    every v below ``order``.  Adding vertex w doubles every plane and adds
+    w's own, the upper half of the doubled range."""
+    planes: list[int] = []
+    for w in range(order):
+        width = 1 << w
+        planes = [p | p << width for p in planes] + [((1 << width) - 1) << width]
+    return tuple(planes)
+
+
+def first_mask(plane: int, order: int) -> int:
+    """The lexicographically least of the equal-size masks that the nonzero
+    ``plane`` holds.  Of two such masks the one holding the least vertex
+    of their difference comes first, so going through v = 0, 1, ... and
+    keeping the masks that hold v whenever any do leaves exactly that one."""
+    for held in vertex_planes(order):
+        if plane & held:
+            plane &= held
+    return plane.bit_length() - 1
+
+
+def count_above(digits: list[int], bound: int, order: int) -> int:
+    """The masks at which the counter ``digits`` (binary digit planes,
+    least significant first) exceeds ``bound`` >= 0: a bit-sliced
+    comparison from the top digit down, keeping the masks still equal to
+    ``bound`` so far and collecting those that pass it at a 0 digit of
+    ``bound``."""
+    if bound >> len(digits):
+        return 0
+    above, equal = 0, every_mask(order)
+    for t in range(len(digits) - 1, -1, -1):
+        if bound >> t & 1:
+            equal &= digits[t]
+        else:
+            above |= equal & digits[t]
+            equal &= ~digits[t]
+    return above
 
 
 def reversed_plane(plane: int, order: int) -> int:

@@ -15,9 +15,8 @@ Both are exhaustive and therefore capped by graph order; pass an explicit
 from __future__ import annotations
 
 import operator
-from array import array
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 from typing import Union
 
 from . import _engine
@@ -173,21 +172,20 @@ def _check_cap(g: Graph, cap: int | None, default: int, what: str) -> None:
 
 
 def is_nkd_by_definition(g: Graph, params: NkdParams, cap: int | None = None) -> Verdict:
-    """Decide straight from the definition, reading only the matching table.
+    """Decide straight from the definition, reading only the matching planes.
 
     The definition fails exactly when some n-set S leaves no k-matching, or
     some n-set S and k-matching M of G - S leave G - S - V(M) with
     deficiency above d.  The sets T = S + V(M) of the second case are
     exactly the (n + 2k)-sets with ``nu[T] >= k``: a k-matching of G[T]
     covers 2k of its vertices and the other n form S.  So the verdict is
-    one pass over the n-sets and one over the (n + 2k)-sets, which collect
-    the violating sets.
+    read from two planes, of the violating n-sets and (n + 2k)-sets.
 
     Only on failure is a witness named, for the first violation in
     deterministic order: deleted subsets lexicographic, matchings in
     canonical enumeration order; the blocking set of an inextensible
-    matching is the smallest-first lexicographically least one.  The
-    deleted set and the matching are read from the violating sets.
+    matching is the smallest-first lexicographically least one.  All three
+    are read from the planes as well.
     """
     validate_params(g, params)
     _check_cap(g, cap, DECIDER_CAP, "decider")
@@ -197,67 +195,76 @@ def is_nkd_by_definition(g: Graph, params: NkdParams, cap: int | None = None) ->
     return _first_violation(g, params, short, blocked)
 
 
-def _violating_sets(g: Graph, n: int, k: int, d: int) -> tuple[array, array]:
+def _violating_sets(g: Graph, n: int, k: int, d: int) -> tuple[int, int]:
     """The short n-sets S (no k-matching in G - S) and the blocked
-    (n + 2k)-sets T (``nu[T] >= k``, deficiency of G - T above d), as masks
-    in 8-byte arrays: a lifted cap lets them number C(24, 12).
+    (n + 2k)-sets T (``nu[T] >= k``, deficiency of G - T above d), as
+    2^n-bit planes.
 
     Both are read from the matching planes, with L_s the masks of size s
     and rev(P) the plane P indexed by complement: the short sets are
     ``L_n & ~rev(P_k)`` and the blocked ones ``L_{n+2k} & P_k &
-    ~rev(P_need)``.  Only when either plane is nonzero are its masks
-    listed."""
+    ~rev(P_need)``."""
     order = g.order
     sizes = _engine.size_planes(order)
-    # planes[j]: P_j, with P_0 every mask and no mask past the matching number
-    planes = [_engine.every_mask(order)] + _engine.nu_planes(g) + [0] * order
-    short = sizes[n] & ~_engine.reversed_plane(planes[k], order)
+    matched = _matching_plane(g, k)
+    short = sizes[n] & ~_engine.reversed_plane(matched, order)
     # deficiency |V - T| - 2 nu[V - T] > d, with |V - T| - d even
     need = (order - n - 2 * k - d) // 2
-    blocked = sizes[n + 2 * k] & planes[k] & ~_engine.reversed_plane(planes[need], order)
-    if not short and not blocked:
-        return array("Q"), array("Q")
-    return _masks_in(short, order), _masks_in(blocked, order)
+    blocked = sizes[n + 2 * k] & matched & ~_engine.reversed_plane(_matching_plane(g, need), order)
+    return short, blocked
 
 
-def _masks_in(plane: int, order: int) -> array:
-    """The masks a 2^order-bit plane holds, in increasing order."""
-    size = 1 << order
-    return array("Q", compress(range(size), _engine._byte_lanes([plane], 0, size)))
+def _matching_plane(g: Graph, j: int) -> int:
+    """P_j, the masks M with ``nu[M] >= j``: every mask for j = 0, none
+    past the matching number."""
+    if j == 0:
+        return _engine.every_mask(g.order)
+    planes = _engine.nu_planes(g)
+    return planes[j - 1] if j <= len(planes) else 0
 
 
-def _first_violation(g: Graph, params: NkdParams, short: array, blocked: array) -> Verdict:
-    """The first violation, named from the sets of :func:`_violating_sets`.
-    A k-matching M of G - S fails to extend exactly when S + V(M) is
-    blocked, so the first failing n-set S is the lexicographically least
-    one that is short or lies in a blocked T with ``nu[T - S] >= k``, and
-    its first inextensible matching is the least of the first perfect
-    matchings of those G[T - S] (``g.edges`` is sorted, so canonical order
-    is tuple order)."""
-    n, k = params.n, params.k
-    nu = _engine.nu_table(g)
-    full = _engine.full_mask(g)
-    # (order,) follows every n-set in lexicographic order
-    first = min((tuple(_engine.bits_of(s)) for s in short), default=(g.order,))
-    for t in blocked:
-        vertices = _engine.bits_of(t)
-        if tuple(vertices[:n]) >= first:
-            continue
-        for subset in combinations(vertices, n):
-            if subset >= first:
-                break
-            if nu[t ^ _engine.mask_of(subset)] >= k:
-                first = subset
-                break
-    smask = _engine.mask_of(first)
-    if nu[full ^ smask] < k:
-        return Verdict(False, NoKMatching(first))
-    matching, t = min((next(_matchings_in_mask(g.edges, t ^ smask, k))[0], t)
-                      for t in blocked if t & smask == smask and nu[t ^ smask] >= k)
-    blocker = _berge_blocker(g, full ^ t, params.d)
+def _first_violation(g: Graph, params: NkdParams, short: int, blocked: int) -> Verdict:
+    """The first violation, named from the planes of :func:`_violating_sets`.
+
+    D_j is the plane of the sets X for which some j-matching M of G - X
+    makes X + V(M) blocked: D_0 is the blocked plane, and D_{j+1} the OR
+    over the edges uv of ``(D_j & C_u & C_v) >> (2^u + 2^v)``, with C_v
+    the masks holding v.  A k-matching M of G - S fails to extend exactly
+    when S + V(M) is blocked, so the first failing n-set S is the least
+    mask of ``short | D_k`` (:func:`_engine.first_mask`).  Its first
+    inextensible matching in canonical order (``g.edges`` is sorted, so
+    tuple order) is built in one pass over the edges: with U the vertices
+    of the j edges taken so far, edge uv is taken when it misses S + U and
+    S + U + uv lies in D_{k-j-1}.  Each edge taken leaves a completion by
+    later edges, so no branch is a dead end."""
+    order, k = g.order, params.k
+    holding = _engine.vertex_planes(order)
+    adj = _engine.adjacency_masks(g)
+    reach = [blocked]
+    for _ in range(k):
+        plane = 0
+        if reach[-1]:
+            for u in range(order):
+                with_u = reach[-1] & holding[u]
+                for v in _engine.bits_of(adj[u] & -(2 << u)):  # the edges uv with u < v
+                    plane |= (with_u & holding[v]) >> ((1 << u) + (1 << v))
+        reach.append(plane)
+    smask = _engine.first_mask(short | reach[k], order)
+    deleted = tuple(_engine.bits_of(smask))
+    if short >> smask & 1:
+        return Verdict(False, NoKMatching(deleted))
+    covered, matching = smask, []
+    for edge in g.edges:
+        if len(matching) == k:
+            break
+        pair = (1 << edge[0]) | (1 << edge[1])
+        if not covered & pair and reach[k - 1 - len(matching)] >> (covered | pair) & 1:
+            matching.append(edge)
+            covered |= pair
+    blocker = _berge_blocker(g, _engine.full_mask(g) ^ covered, params.d)
     if blocker is None:
         raise AssertionError("no blocking set found for a deficient subgraph")
-    return Verdict(False, BlockedExtension(first, matching, blocker))
+    return Verdict(False, BlockedExtension(deleted, tuple(matching), blocker))
 
 
 def _char_summary(g: Graph) -> list[list[int]]:
@@ -457,8 +464,10 @@ def is_nkd_by_characterization(g: Graph, params: NkdParams, cap: int | None = No
     for every subset of size at least n + 2k whose induced subgraph
     contains a k-matching, are read from the summary rows.  Failure returns
     the first violation in size-then-lexicographic subset order (condition
-    "i" tested before "ii" on each subset): the rows name its size, and only
-    the subsets of that size are scanned.
+    "i" tested before "ii" on each subset).  The rows name its size s; the
+    sets of size s that break "i", and those with a k-matching that break
+    "ii", are read as planes from the odd-count digits, and the witness is
+    the least mask of their union.
     """
     validate_params(g, params)
     _check_cap(g, cap, DECIDER_CAP, "decider")
@@ -469,17 +478,22 @@ def is_nkd_by_characterization(g: Graph, params: NkdParams, cap: int | None = No
     rows = _char_summary(g)
     size = next(s for s in range(n, g.order + 1) if rows[0][s] > d - n or (
         s >= n + 2 * k and k < len(rows) and rows[k][s] > d - n - 2 * k))
-    nu = _engine.nu_table(g)
-    odd = _engine.odd_table(g)
-    full = _engine.full_mask(g)
-    for subset in combinations(range(g.order), size):
-        mask = _engine.mask_of(subset)
-        o = odd[full & ~mask]
-        if o > size - n + d:
-            return Verdict(False, CharacterizationViolation("i", subset))
-        if size >= n + 2 * k and nu[mask] >= k and o > size - n - 2 * k + d:
-            return Verdict(False, CharacterizationViolation("ii", subset))
-    raise AssertionError("summary table reported a violation the scan cannot find")
+    order = g.order
+    digits = _engine.odd_digits(g)
+    layer = _engine.size_planes(order)[size]
+
+    def deleting(bound: int) -> int:
+        # the sets S of this size whose deletion leaves more than ``bound``
+        # odd components: reversed, the kept set V - S lines up with S
+        return layer & _engine.reversed_plane(_engine.count_above(digits, bound, order), order)
+
+    first = deleting(size - n + d)
+    second = 0
+    if size >= n + 2 * k:
+        second = _matching_plane(g, k) & deleting(size - n - 2 * k + d)
+    mask = _engine.first_mask(first | second, order)
+    condition = "i" if first >> mask & 1 else "ii"
+    return Verdict(False, CharacterizationViolation(condition, tuple(_engine.bits_of(mask))))
 
 
 def is_k_extendable(g: Graph, k: int, cap: int | None = None) -> Verdict:

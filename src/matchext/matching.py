@@ -113,18 +113,35 @@ def berge_violating_set(
 
 def _berge_blocker(g: Graph, mask: int, d: int) -> tuple[int, ...] | None:
     """Smallest (then lexicographically least) T inside ``mask`` such that
-    ``mask - T`` has more than |T| + d odd components, or None.  Reads the
-    odd-component table up to ``_engine.TABLE_LIMIT`` vertices and flood
-    fills each subset above it."""
-    table = _engine.odd_table(g) if g.order <= _engine.TABLE_LIMIT else None
-    adj = _engine.adjacency_masks(g)
+    ``mask - T`` has more than |T| + d odd components, or None.
+
+    Up to ``_engine.TABLE_LIMIT`` vertices it is read from the odd-count
+    digit planes: for each size t in turn, the kept sets X inside ``mask``
+    of size |mask| - t with more than t + d odd components.  Reversed, X
+    lies at V - X = T + (V - mask), which shares V - mask with every other
+    candidate, so the least T is the least of those masks
+    (:func:`_engine.first_mask`).  Above the limit each subset is flood
+    filled."""
     vertices = _engine.bits_of(mask)
-    for size in range(len(vertices) + 1):
-        for subset in combinations(vertices, size):
-            rest = mask & ~_engine.mask_of(subset)
-            o = table[rest] if table is not None else _engine.odd_component_count(adj, rest)
-            if o > size + d:
-                return subset
+    order = g.order
+    if order > _engine.TABLE_LIMIT:
+        adj = _engine.adjacency_masks(g)
+        for size in range(len(vertices) + 1):
+            for subset in combinations(vertices, size):
+                if _engine.odd_component_count(adj, mask & ~_engine.mask_of(subset)) > size + d:
+                    return subset
+        return None
+    digits = _engine.odd_digits(g)
+    inside = _engine.every_mask(order)
+    for v, held in enumerate(_engine.vertex_planes(order)):
+        if not mask >> v & 1:
+            inside &= ~held
+    sizes = _engine.size_planes(order)
+    for t in range(len(vertices) + 1):
+        kept = inside & sizes[len(vertices) - t] & _engine.count_above(digits, t + d, order)
+        if kept:
+            first = _engine.first_mask(_engine.reversed_plane(kept, order), order)
+            return tuple(_engine.bits_of(first & mask))
     return None
 
 

@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+import matchext._engine as _engine
 from matchext import Graph
 
 
@@ -68,6 +69,28 @@ def brute_force_nu(g: Graph) -> int:
         return best
 
     return rec(0, 0)
+
+
+# -- independent Berge blocker oracle (flood fill of every subset) -------------
+
+def berge_blocker_by_flood_fill(g: Graph, mask: int, d: int):
+    """Smallest (then lexicographically least) T inside ``mask`` such that
+    ``mask - T`` has more than |T| + d odd components, or None: every
+    subset tried in that order, its rest's components flood filled."""
+    adj = [0] * g.order
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    adj = tuple(adj)
+    vertices = [v for v in range(g.order) if mask >> v & 1]
+    for size in range(len(vertices) + 1):
+        for subset in combinations(vertices, size):
+            rest = mask
+            for v in subset:
+                rest &= ~(1 << v)
+            if _engine.odd_component_count(adj, rest) > size + d:
+                return subset
+    return None
 
 
 # -- censuses ------------------------------------------------------------------

@@ -38,9 +38,10 @@ from matchext.decision import (
     _derived,
     _scan_decomposition_witness,
 )
-from matchext.matching import _berge_blocker, _matchings_in_mask
+from matchext.matching import _matchings_in_mask
 from matchext.structure import components, odd_count_after_deletion
 from conftest import (
+    berge_blocker_by_flood_fill,
     complete,
     complete_bipartite,
     connected_census,
@@ -301,6 +302,19 @@ def test_definition_decider_vs_naive_oracle():
             assert is_nkd_by_definition(g, p).holds == naive(g, p), (g, p)
 
 
+def _plane_fixture(fixture, request) -> list[Graph]:
+    if fixture == "order17":
+        # its planes span two chunks of 2^16 masks, its cone's four
+        return [random_graph(random.Random(17), 17, 0.25)]
+    return request.getfixturevalue(fixture)
+
+
+def _some_triples(order: int) -> list[NkdParams]:
+    """Every valid triple, or every seventh at order 17, where a scan
+    walks 2^17 masks."""
+    return valid_triples(order)[::7 if order == 17 else 1]
+
+
 def _scan_definition(g, p):
     """The definition checked literally, for every n-subset S in
     lexicographic order and every k-matching of G - S in canonical order:
@@ -313,23 +327,23 @@ def _scan_definition(g, p):
         for medges, mmask in _matchings_in_mask(g.edges, rest, p.k):
             rem = rest & ~mmask
             if rem.bit_count() - 2 * nu[rem] > p.d:
-                blocker = _berge_blocker(g, rem, p.d)
+                blocker = berge_blocker_by_flood_fill(g, rem, p.d)
                 assert blocker is not None, (g, p, subset, medges)
                 return Verdict(False, BlockedExtension(subset, medges, blocker))
     return Verdict(True)
 
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample",
-                                     "order12_dense"])
+                                     "order12_dense", "order17"])
 def test_definition_pass_matches_the_scan(fixture, request):
-    # the (n + 2k)-set pass decides and collects the violating sets, which
-    # name the witness; the verdict and witness must be the S-by-S scan's
-    # on every triple
+    # the violating sets decide, and the planes name the witness; the
+    # verdict and witness must be the S-by-S scan's on every triple, and on
+    # every seventh at order 17, whose planes span two 2^16-mask chunks
     kinds = set()
-    for g in request.getfixturevalue(fixture):
+    for g in _plane_fixture(fixture, request):
         g = Graph(g.order, g.edges)
-        for p in valid_triples(g.order):
-            got = is_nkd_by_definition(g, p)
+        for p in _some_triples(g.order):
+            got = is_nkd_by_definition(g, p, cap=g.order)
             assert got == _scan_definition(g, p), (g, p)
             kinds.add(type(got.witness))
     want = {type(None), NoKMatching, BlockedExtension}
@@ -356,16 +370,17 @@ def _scan_characterization(g, p):
 
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample",
-                                     "order12_dense"])
+                                     "order12_dense", "order17"])
 def test_characterization_witness_matches_the_scan(fixture, request):
-    # the summary rows pick the witness's size; verdict and witness must be
-    # the all-sizes scan's on every triple, both conditions must occur, and
-    # some witness must lie above size n, where the two scans differ
+    # the summary rows pick the witness's size and the planes name it;
+    # verdict and witness must be the all-sizes scan's on every triple (every
+    # seventh at order 17), both conditions must occur, and some witness
+    # must lie above size n, where the two scans differ
     conditions, above_n = set(), 0
-    for g in request.getfixturevalue(fixture):
+    for g in _plane_fixture(fixture, request):
         g = Graph(g.order, g.edges)
-        for p in valid_triples(g.order):
-            got = is_nkd_by_characterization(g, p)
+        for p in _some_triples(g.order):
+            got = is_nkd_by_characterization(g, p, cap=g.order)
             assert got == _scan_characterization(g, p), (g, p)
             if not got.holds:
                 conditions.add(got.witness.condition)
@@ -394,11 +409,28 @@ def test_definition_witness_matches_the_scan_at_order_14():
     assert failing >= 40
 
 
+def test_characterization_witness_matches_the_scan_at_order_14():
+    # the failing triples only, as above; the scan stops at the witness
+    failing = 0
+    for g in _decide_workload_graphs():
+        for p in valid_triples(g.order):
+            if not nkd_holds(g, p):
+                failing += 1
+                assert is_nkd_by_characterization(g, p) == _scan_characterization(g, p), (g, p)
+    assert failing >= 40
+
+
+def _double_star(order: int) -> Graph:
+    """Two adjacent hubs joined to every other vertex: deleting the hubs
+    leaves no edge."""
+    return Graph(order, [(0, 1)] + [(h, v) for h in (0, 1) for v in range(2, order)])
+
+
 def test_definition_verdict_reads_only_the_matching_table(monkeypatch):
     """A holding triple and a NoKMatching failure are decided from the
-    matching table alone.  A BlockedExtension witness still reads the
-    odd-component table, through the blocker search that names it."""
-    hubs = Graph(7, [(0, v) for v in range(2, 7)] + [(1, v) for v in range(2, 7)] + [(0, 1)])
+    matching planes alone.  A BlockedExtension witness also reads the
+    odd-count digits, through the blocker search that names it."""
+    hubs = _double_star(7)
 
     def refuse(*args):
         raise AssertionError("the definition decider read a table other than nu")
@@ -410,9 +442,9 @@ def test_definition_verdict_reads_only_the_matching_table(monkeypatch):
     assert is_nkd_by_definition(g, NkdParams(2, 1, 2)) == Verdict(True)
     got = is_nkd_by_definition(hubs, NkdParams(2, 1, 1))
     assert got == Verdict(False, NoKMatching(deleted=(0, 1)))
-    # the verdict reads the planes; only a witness lists the matching table
+    # the verdict and the NoKMatching witness read the planes only
     assert set(g._cache) == {"adj_masks", "nu_planes"}
-    assert set(hubs._cache) == {"adj_masks", "nu_planes", "nu_table"}
+    assert set(hubs._cache) == {"adj_masks", "nu_planes"}
     with pytest.raises(AssertionError, match="other than nu"):
         is_nkd_by_definition(g, NkdParams(2, 1, 0))
 
@@ -423,6 +455,26 @@ def test_holding_triple_builds_no_list():
     g = _decide_workload_graphs()[0]
     p = NkdParams(2, 2, 2)
     assert is_nkd_by_definition(g, p) == is_nkd_by_characterization(g, p) == Verdict(True)
+    assert {"nu_planes", "odd_digits", "char_summary"} <= set(g._cache)
+    assert not {"nu_table", "odd_table"} & set(g._cache)
+
+
+@pytest.mark.parametrize("graph, triple, kind, condition", [
+    ("double star", (2, 1, 0), NoKMatching, "i"),
+    ("workload", (4, 2, 0), BlockedExtension, "ii"),
+    ("workload", (6, 0, 0), BlockedExtension, "i"),
+])
+def test_failing_check_builds_no_list(graph, triple, kind, condition):
+    # the witnesses are read from the planes too, so a failing order-14
+    # check converts no plane into a 2^n list either
+    g = _double_star(14) if graph == "double star" else _decide_workload_graphs()[0]
+    g = Graph(g.order, g.edges)
+    p = NkdParams(*triple)
+    by_definition, by_characterization = is_nkd_by_definition(g, p), is_nkd_by_characterization(g, p)
+    assert type(by_definition.witness) is kind
+    assert by_characterization.witness.condition == condition
+    assert verify_witness(g, p, by_definition.witness)
+    assert verify_witness(g, p, by_characterization.witness)
     assert {"nu_planes", "odd_digits", "char_summary"} <= set(g._cache)
     assert not {"nu_table", "odd_table"} & set(g._cache)
 
@@ -443,13 +495,6 @@ def _fold_summary(g):
     for upper, row in zip(rows[:0:-1], rows[-2::-1]):
         row[:] = map(max, row, upper)
     return rows
-
-
-def _plane_fixture(fixture, request) -> list[Graph]:
-    if fixture == "order17":
-        # its planes span two chunks of 2^16 masks, its cone's four
-        return [random_graph(random.Random(17), 17, 0.25)]
-    return request.getfixturevalue(fixture)
 
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample", "order17"])
@@ -473,16 +518,20 @@ def _scan_violating_sets(g, n, k, d):
     return short, blocked
 
 
+def _masks_of(plane: int, order: int) -> list[int]:
+    """The masks a 2^order-bit plane holds, in increasing order."""
+    return [m for m, bit in enumerate(format(plane, f"0{1 << order}b")[::-1]) if bit == "1"]
+
+
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample", "order17"])
 def test_violating_sets_match_a_per_mask_scan(fixture, request):
     seen = set()
     for g in _plane_fixture(fixture, request):
         g = Graph(g.order, g.edges)
-        # every seventh triple at order 17, where a scan walks 2^17 masks
-        for p in valid_triples(g.order)[::7 if g.order == 17 else 1]:
+        for p in _some_triples(g.order):
             short, blocked = decision._violating_sets(g, *p.as_tuple())
-            assert short.typecode == blocked.typecode == "Q"
-            assert (list(short), list(blocked)) == _scan_violating_sets(g, *p.as_tuple()), (g, p)
+            got = (_masks_of(short, g.order), _masks_of(blocked, g.order))
+            assert got == _scan_violating_sets(g, *p.as_tuple()), (g, p)
             seen.add((bool(short), bool(blocked)))
     # holding, blocked only and both; short only does not occur at order 17
     want = {(False, False), (False, True), (True, True)}

@@ -18,7 +18,9 @@ from matchext import (
     maximum_matching,
     nu,
 )
+from matchext.matching import _berge_blocker
 from conftest import (
+    berge_blocker_by_flood_fill,
     brute_force_nu,
     complete,
     complete_bipartite,
@@ -191,7 +193,26 @@ def test_berge_flood_fills_above_the_table_limit():
     assert berge_violating_set(star, 1, cap=30) == (0,)
     assert berge_violating_set(edgeless, 1, cap=30) == ()
     for g in (star, edgeless):
-        assert "odd_table" not in g._cache and "comp_table" not in g._cache
+        assert not {"odd_digits", "odd_table", "comp_table"} & set(g._cache)
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
+def test_berge_violating_set_matches_flood_fill(fixture, request):
+    # the blocker read from the odd-count digits against a flood fill of
+    # every subset: on the whole graph for every valid d, and on one proper
+    # sub-mask per graph for every d of its parity
+    found = 0
+    for g in request.getfixturevalue(fixture):
+        full = _engine.full_mask(g)
+        for d in range(g.order % 2, g.order + 1, 2):
+            got = berge_violating_set(g, d)
+            assert got == berge_blocker_by_flood_fill(g, full, d), (g, d)
+            found += got is not None
+        sub = full ^ 1 << len(g.edges) % g.order
+        size = sub.bit_count()
+        for d in range(size % 2, size + 1, 2):
+            assert _berge_blocker(g, sub, d) == berge_blocker_by_flood_fill(g, sub, d), (g, sub, d)
+    assert found > 0
 
 
 @settings(max_examples=80, deadline=None)
