@@ -8,25 +8,23 @@ Both counts are built bit-parallel, as Python ints with one bit per
 subset, and the planes are cached: the matching planes P_j, the masks with
 ``nu >= j`` (:func:`nu_planes`), and the binary digit planes of the
 odd-component count, from pairwise connectivity planes over 2^16-mask
-chunks (:func:`odd_digits`).  The deciders read their verdicts and
-witnesses from the planes, with the size planes (:func:`size_planes`), the
+chunks (:func:`odd_digits`).  The deciders and the summary bounds of edited
+hosts read the planes, with the size planes (:func:`size_planes`), the
 vertex planes (:func:`vertex_planes`), the reversal that maps mask M to
 V - M (:func:`reversed_plane`), a bit-sliced comparison with a constant
 (:func:`count_above`) and the lexicographically first mask of a plane
-(:func:`first_mask`).  Only the readers that index single masks (the
-G + uv and G - uv bound, the separator search) convert them, through a
-bit-sliced counter and one conversion at one byte per mask
-(:func:`_byte_lanes`), into the 2^n lists :func:`nu_table` and
-:func:`odd_table`.  :func:`component_table` is built
-only for its one reader, the G - uv bound.  The flood fill
-(:func:`spread`, :func:`component_split`, :func:`odd_component_count`)
-stays for the oracles and slow paths that must not read the tables.
+(:func:`first_mask`).  Only the separator search, which indexes single
+masks, converts the matching planes, through a bit-sliced counter and one
+conversion at one byte per mask (:func:`_byte_lanes`), into the 2^n list
+:func:`nu_table`; :func:`odd_table` converts the digit planes the same way
+for the oracles.  The flood fill (:func:`spread`, :func:`component_split`,
+:func:`odd_component_count`) stays for the oracles and slow paths that must
+not read the tables.
 """
 
 from __future__ import annotations
 
 import functools
-from array import array
 from collections import deque
 
 from .errors import SearchCapExceeded
@@ -285,40 +283,6 @@ def _nu_planes(adj: tuple[int, ...], order: int) -> list[int]:
         if v + 1 < order:
             lacking = [z | z << width for z in lacking] + [(1 << width) - 1]
     return planes
-
-
-def component_table(g: Graph) -> array:
-    """The component of the lowest vertex in every induced subgraph, as a
-    vertex mask, indexed by bitmask; 4 bytes per subset.  Read by the
-    G - uv bound only.
-
-    Each entry is built from smaller ones.  With v the lowest vertex of M
-    and R = M - v, the components of G[R] are ``table[R]``, then
-    ``table[R']`` with R' = R minus that component, and so on; v's
-    component is v plus those that touch v's neighbours.  The walk stops
-    once R holds no neighbour of v.  Chasing the same way from M lists the
-    components of G[M] in order of lowest vertex.  The masks are filled by
-    lowest vertex, highest first, so every R is filled before M.
-    """
-
-    def build():
-        _require_table(g)
-        adj = adjacency_masks(g)
-        size = 1 << g.order
-        table = array("I", [0]) * size
-        for v in range(g.order - 1, -1, -1):
-            low, near = 1 << v, adj[v]
-            for mask in range(low, size, low << 1):  # lowest vertex v
-                comp, rest = low, mask ^ low
-                while rest & near:
-                    c = table[rest]
-                    if c & near:
-                        comp |= c
-                    rest ^= c
-                table[mask] = comp
-        return table
-
-    return cached(g, "comp_table", build)
 
 
 def odd_digits(g: Graph) -> list[int]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import Union
 
@@ -303,8 +304,9 @@ def _plane_rows(order: int, planes: list[int], digits: list[int]) -> list[list[i
     bit-sliced, keeping from the top digit down the candidates that hold
     it whenever any does.  P_k holds every mask with a larger matching, so
     the rows need no fold."""
-    rev = [_engine.reversed_plane(digit, order) for digit in reversed(digits)]
-    top = len(rev) - 1
+    # the reversed digit planes from the top down, each with its value
+    weighted = [(_engine.reversed_plane(digit, order), 1 << t)
+                for t, digit in reversed(list(enumerate(digits)))]
     sizes = _engine.size_planes(order)
     rows = []
     for k, plane in enumerate([_engine.every_mask(order)] + planes):
@@ -313,21 +315,12 @@ def _plane_rows(order: int, planes: list[int], digits: list[int]) -> list[list[i
             held = plane & sizes[s]
             if held:
                 best = 0
-                for t, digit in enumerate(rev):
+                for digit, value in weighted:
                     if held & digit:
                         held &= digit
-                        best |= 1 << top - t
+                        best |= value
                 row[s] = best - s
         rows.append(row)
-    return rows
-
-
-def _max_folds(rows: list[list[int]]) -> list[list[int]]:
-    # a subset with a k-matching also has every smaller matching
-    for upper, row in zip(rows[:0:-1], rows[-2::-1]):
-        for s, value in enumerate(upper):
-            if value > row[s]:
-                row[s] = value
     return rows
 
 
@@ -335,7 +328,7 @@ def _derived(g: Graph, method: str, *args) -> Graph:
     """``getattr(g, method)(*args)`` (``add_edge``, ``delete_edge`` or
     ``cone``), cached on the parent so that rules and triples share it.  The
     host links to its parent (``"derived_from"``) until its summary is built
-    from the parent's tables by :func:`_char_summary`."""
+    from the parent's planes by :func:`_char_summary`."""
 
     def build():
         host = getattr(g, method)(*args)
@@ -372,58 +365,63 @@ def _cone_planes(h: Graph, parent: Graph) -> tuple[list[int], list[int]]:
 
 def _edge_bound(parent: Graph, method: str, args: tuple) -> list[list[int]]:
     """An upper bound, entry by entry, on the summary of G + uv or G - uv
-    (``getattr(parent, method)(*args)``): the parent's summary raised by the
-    only entries that can rise, then folded again.  Adding uv lowers no
-    ``nu`` and raises no odd count; deleting it does the opposite."""
-    nu, odd = _engine.nu_table(parent), _engine.odd_table(parent)
-    full = _engine.full_mask(parent)
+    (``getattr(parent, method)(*args)``), read from the parent's planes.
+    Adding uv lowers no ``nu`` and raises no odd count; deleting it does
+    the opposite, so each host keeps the parent's planes of the count that
+    cannot rise and gets exact planes of the other.
+
+    G + uv: ``nu[M]`` rises by one exactly when M holds u and v and
+    G[M - u - v] is as large, so with Z_x the masks lacking x the host's
+    matching planes are P'_j = P_j | (P_{j-1} & Z_u & Z_v) << (2^u + 2^v).
+    G - uv: the odd count of R rises by 2 exactly on the bridge plane B
+    (:func:`_bridge_plane`), so the host's odd digits are the parent's plus
+    B added at digit 1, bit-sliced."""
+    order = parent.order
     u, v = args
-    bu, bv = 1 << u, 1 << v
-    both = bu | bv
+    planes, digits = _engine.nu_planes(parent), _engine.odd_digits(parent)
     if method == "add_edge":
-        # nu[M] rises by one exactly when M holds u and v and G[M - u - v]
-        # is as large; odd[V - M] stays, as V - M misses both
-        raised = ((nu[m] + 1, m, odd[full ^ m])
-                  for m in _masks_holding(full, both) if nu[m ^ both] >= nu[m])
-    else:
-        # odd[R] rises by 2 exactly when uv is a bridge of G[R] between two
-        # odd parts: u has no other neighbour in v's component Cv of
-        # G[R - u], and Cv and the rest of u's component are odd
-        lc = _engine.component_table(parent)
-        adj_u = _engine.adjacency_masks(parent)[u] ^ bv
-        raised = ((nu[full ^ r], full ^ r, odd[r] + 2)
-                  for r in _masks_holding(full, both)
-                  if not adj_u & (cv := _component_of(lc, r ^ bu, bv))
-                  and cv.bit_count() & 1
-                  and (_component_of(lc, r, bu).bit_count() - cv.bit_count()) & 1)
-    rows = [row.copy() for row in _char_summary(parent)] + [[_NEG] * (parent.order + 2)]
-    for k, m, o in raised:
-        s = m.bit_count()
-        row = rows[k]
-        if o - s > row[s]:
-            row[s] = o - s
-    return _max_folds(rows)
+        everything = _engine.every_mask(order)
+        holding = _engine.vertex_planes(order)
+        free = everything & ~holding[u] & ~holding[v]
+        host = [p | (below & free) << ((1 << u) + (1 << v))
+                for p, below in zip(planes + [0], [everything] + planes)]
+        return _plane_rows(order, host if host[-1] else host[:-1], digits)
+    carry, host = _bridge_plane(parent, u, v), digits[:1]
+    for digit in digits[1:]:
+        host.append(digit ^ carry)
+        carry &= digit
+    return _plane_rows(order, planes, host + [carry])
 
 
-def _masks_holding(full: int, both: int):
-    """Every mask within ``full`` that holds all of ``both``."""
-    rest = x = full ^ both
+def _bridge_plane(g: Graph, u: int, v: int) -> int:
+    """B, the masks R holding u and v in which uv is a bridge of G[R]
+    between two odd parts: v's part of G[R - u] meets no other neighbour
+    of u and is odd, and u's part of G[R - v] is odd.  A part's parity is
+    the XOR of its joined planes (:func:`_joined_planes`).  Both sides are
+    always needed, as B always holds the mask {u, v}."""
+    joined = _joined_planes(g, v, u)
+    others = _engine.bits_of(_engine.adjacency_masks(g)[u] & ~(1 << v))
+    met = reduce(operator.or_, [joined[w] for w in others], 0)
+    # v's parity plane holds only masks with v, u's only masks with u
+    return reduce(operator.xor, joined) & ~met & reduce(operator.xor, _joined_planes(g, u, v))
+
+
+def _joined_planes(g: Graph, source: int, avoided: int) -> list[int]:
+    """``joined[w]``: the masks M holding ``source`` and w in which w is
+    joined to ``source`` in G[M - avoided].  The source's plane is the masks
+    holding it; an edge ab of G - avoided joins a on the masks that hold a
+    and join b.  The edges are swept until no plane grows."""
+    holding = _engine.vertex_planes(g.order)
+    edges = [(a, b) for a, b in g.edges if avoided not in (a, b)]
+    joined = [0] * g.order
+    joined[source] = holding[source]
     while True:
-        yield x | both
-        if not x:
-            return
-        x = (x - 1) & rest
-
-
-def _component_of(lc, m: int, bw: int) -> int:
-    """The component holding the vertex bit ``bw`` in G[m], found by walking
-    the components of G[m] in ``lc`` (a component table) in order of lowest
-    vertex; ``bw`` must lie in ``m``."""
-    c = lc[m]
-    while not c & bw:
-        m ^= c
-        c = lc[m]
-    return c
+        before = joined.copy()
+        for a, b in edges:
+            joined[a] |= joined[b] & holding[a]
+            joined[b] |= joined[a] & holding[b]
+        if joined == before:
+            return joined
 
 
 def _characterization_holds(g: Graph, n: int, k: int, d: int) -> bool:
@@ -529,25 +527,28 @@ def _verify_witness(g: Graph, params: NkdParams, witness: Witness) -> bool:
         sub, _ = g.delete_vertices(removed)
         return len(maximum_matching(sub))
 
+    def distinct(vertices) -> bool:
+        # each a vertex of g, none repeated: a repeat would count twice
+        return len(set(vertices)) == len(vertices) and all(0 <= v < g.order for v in vertices)
+
     if isinstance(witness, NoKMatching):
-        return len(witness.deleted) == n and nu_without(witness.deleted) < k
+        return (len(witness.deleted) == n and distinct(witness.deleted)
+                and nu_without(witness.deleted) < k)
 
     if isinstance(witness, BlockedExtension):
         if len(witness.deleted) != n or len(witness.matching) != k:
             return False
         body = Matching(witness.matching)
         body.validate(g)
-        deleted = set(witness.deleted)
-        if deleted & body.vertices():
+        # the deleted set, the matched vertices and the blocker are disjoint
+        removed = (*witness.deleted, *(v for edge in body for v in edge), *witness.blocker)
+        if not distinct(removed):
             return False
-        removed = deleted | body.vertices()
-        blocker = set(witness.blocker)
-        if blocker & removed:
-            return False
-        o = odd_count_after_deletion(g, removed | blocker)
-        return o > len(blocker) + d
+        return odd_count_after_deletion(g, removed) > len(witness.blocker) + d
 
     if isinstance(witness, CharacterizationViolation):
+        if not distinct(witness.subset):
+            return False
         size = len(witness.subset)
         o = odd_count_after_deletion(g, witness.subset)
         if witness.condition == "i":

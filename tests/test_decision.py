@@ -185,6 +185,17 @@ def test_aliases():
         is_k_extendable(cycle(5), 1)  # odd order cannot be 0-defect
 
 
+@pytest.mark.parametrize("code, triple, witness", [
+    ("GdxV^k", (2, 0, 0), CharacterizationViolation("i", (0, 0))),
+    ("GbLyLC", (2, 1, 2), BlockedExtension((7, 7), ((1, 5),), ())),
+])
+def test_verify_witness_rejects_repeated_vertices(code, triple, witness):
+    # the triple holds, so a witness naming a vertex twice must not pass
+    g, p = read_graph6(code), NkdParams(*triple)
+    assert nkd_holds(g, p) and is_nkd_by_definition(g, p).holds
+    assert not verify_witness(g, p, witness)
+
+
 def test_verify_witness_rejects_tampered():
     h = family_cliques_plus_edge(2, 1)
     broken = h.delete_edge(6, 7)
@@ -435,7 +446,7 @@ def test_definition_verdict_reads_only_the_matching_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("the definition decider read a table other than nu")
 
-    for name in ("odd_table", "odd_digits", "component_table"):
+    for name in ("odd_table", "odd_digits"):
         monkeypatch.setattr(_engine, name, refuse)
     monkeypatch.setattr(decision, "_char_summary", refuse)
     g = family_cliques_plus_edge(2, 1)
@@ -479,14 +490,15 @@ def test_failing_check_builds_no_list(graph, triple, kind, condition):
     assert not {"nu_table", "odd_table"} & set(g._cache)
 
 
-def _fold_summary(g):
-    """The summary rows by a fold over the 2^n lists: each mask raises the
-    entry at its matching number and size, and each row is then raised to
-    the rows of larger matchings.  The oracle for the plane rows, which
-    list nothing."""
-    nu, odd = _engine.nu_table(g), _engine.odd_table(g)
-    full = _engine.full_mask(g)
-    rows = [[decision._NEG] * (g.order + 2) for _ in range(nu[full] + 1)]
+def _fold_summary(matched, split):
+    """The summary rows by a fold over the 2^n lists, with the matching
+    numbers of graph ``matched`` and the odd counts of graph ``split`` on the
+    same vertices: each mask raises the entry at its matching number and
+    size, and each row is then raised to the rows of larger matchings.  The
+    oracle for the plane rows, which list nothing."""
+    nu, odd = _engine.nu_table(matched), _engine.odd_table(split)
+    full = _engine.full_mask(matched)
+    rows = [[decision._NEG] * (matched.order + 2) for _ in range(nu[full] + 1)]
     # odd is indexed by mask, so reversed it lines up V - M with M
     for mask, k, o in zip(range(full + 1), nu, reversed(odd)):
         s = mask.bit_count()
@@ -504,7 +516,8 @@ def test_plane_rows_match_the_list_fold(fixture, request):
     for g in _plane_fixture(fixture, request):
         parent = Graph(g.order, g.edges)
         for h in (parent, _derived(parent, "cone")):
-            assert _char_summary(h) == _fold_summary(Graph(h.order, h.edges)), (g, h.order)
+            fresh = Graph(h.order, h.edges)
+            assert _char_summary(h) == _fold_summary(fresh, fresh), (g, h.order)
 
 
 def _scan_violating_sets(g, n, k, d):
@@ -641,7 +654,7 @@ def test_separator_search_matches_subset_scan(census7, disconnected1000, order8_
     assert _witnesses_agreeing_with_scan(sparse) > 500
 
 
-def test_oracles_do_not_read_the_component_table(monkeypatch):
+def test_oracles_read_no_odd_planes(monkeypatch):
     g = family_cliques_plus_edge(2, 1)
     p, edge = NkdParams(2, 1, 0), (6, 7)
     failures = [is_nkd_by_characterization(g, p).witness, is_nkd_by_definition(g, p).witness]
@@ -651,12 +664,12 @@ def test_oracles_do_not_read_the_component_table(monkeypatch):
     assert found is not None
 
     def refuse(g):
-        raise AssertionError("an oracle read the component table")
+        raise AssertionError("an oracle read the odd planes")
 
-    monkeypatch.setattr(_engine, "component_table", refuse)
+    monkeypatch.setattr(_engine, "odd_digits", refuse)
     fresh = Graph(g.order, g.edges)
-    with pytest.raises(AssertionError, match="component table"):
-        _engine.component_table(fresh)
+    with pytest.raises(AssertionError, match="odd planes"):
+        _engine.odd_table(fresh)
     assert find_decomposition_witness(Graph(g.order, g.edges), dp, edge, "d1") == found
     assert _scan_decomposition_witness(fresh, dp, edge, "d1") == found
     assert all(verify_witness(fresh, p, w) for w in failures)
@@ -664,15 +677,14 @@ def test_oracles_do_not_read_the_component_table(monkeypatch):
     assert components(fresh).components == ((0, 1, 2), (3, 4, 5), (6, 7))
     assert odd_count_after_deletion(fresh, (0, 1)) == 2
     assert odd_count_after_deletion(fresh, (6,)) == 3
-    assert "comp_table" not in fresh._cache
+    assert not {"odd_digits", "odd_table"} & set(fresh._cache)
 
 
 def test_separator_search_reads_only_the_matching_table(monkeypatch):
     def refuse(*args):
         raise AssertionError("the separator search read a table other than nu")
 
-    for owner, name in ((_engine, "odd_table"), (_engine, "component_table"),
-                        (decision, "_char_summary")):
+    for owner, name in ((_engine, "odd_table"), (decision, "_char_summary")):
         monkeypatch.setattr(owner, name, refuse)
     h = family_cliques_plus_edge(2, 1)
     w = find_decomposition_witness(h, NkdParams(2, 1, 2), (6, 7), "d1")
@@ -733,6 +745,28 @@ def test_derived_summary_matches_fresh(fixture, request, monkeypatch):
                 assert all(map(int.__ge__, row, exact_row)), (g, edit)
 
 
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
+def test_edge_bound_matches_the_list_fold(fixture, request):
+    # adding uv lowers no matching number and raises no odd count, deleting
+    # it does the opposite, so the bound pairs the exact count of the one
+    # graph with the count of the other that cannot rise: the host's nu with
+    # the parent's odd for G + uv, the parent's nu with the host's odd for
+    # G - uv.  It must equal that fold, not only lie above the exact rows,
+    # and deciding the hosts must convert none of the parent's planes
+    for g in request.getfixturevalue(fixture):
+        parent, base = Graph(g.order, g.edges), Graph(g.order, g.edges)
+        for edit in _edits(parent):
+            if edit[0] == "cone":
+                continue
+            h = _derived(parent, *edit)
+            rows = _char_summary(h)
+            fresh = Graph(h.order, h.edges)
+            pair = (fresh, base) if edit[0] == "add_edge" else (base, fresh)
+            assert rows == _fold_summary(*pair), (g, edit)
+            nkd_holds(h, valid_triples(h.order)[-1])
+        assert not {"nu_table", "odd_table"} & set(parent._cache), g
+
+
 @pytest.mark.parametrize("code, method, edge, triple, holds", [
     ("C?", "add_edge", (0, 1), (0, 0, 2), True),
     ("Ck", "delete_edge", (0, 1), (0, 1, 0), True),
@@ -750,8 +784,7 @@ def test_inconclusive_bound_is_decided_exactly(code, method, edge, triple, holds
     assert nkd_holds(h, p) is holds
     assert h._cache["char_summary"] is not bound
     assert h._cache["char_summary"] == _char_summary(fresh)
-    assert not {"nu_table", "odd_table", "comp_table", "derived_from",
-                "summary_is_bound"} & set(h._cache)
+    assert not {"nu_table", "odd_table", "derived_from", "summary_is_bound"} & set(h._cache)
 
 
 def test_decomposition_witness_kv_lines():

@@ -1,6 +1,6 @@
-"""The subset tables against slower references: the component and
-odd-component tables against flood fill, the bit-parallel matching table
-against the subset DP that tries every neighbour."""
+"""The subset tables against slower references: the odd-component table
+against flood fill, the bit-parallel matching table against the subset DP
+that tries every neighbour."""
 
 import random
 from itertools import combinations
@@ -26,15 +26,13 @@ def _graphs(fixture, request):
 
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample", "order12"])
-def test_component_and_odd_tables_match_flood_fill(fixture, request):
+def test_fixture_odd_tables_match_flood_fill(fixture, request):
     for g in _graphs(fixture, request):
         # a fresh graph per case keeps the tables off the session fixtures
         g = Graph(g.order, g.edges)
         adj = _engine.adjacency_masks(g)
-        lc, odd = _engine.component_table(g), _engine.odd_table(g)
-        assert lc.itemsize == 4
+        odd = _engine.odd_table(g)
         for m in range(1 << g.order):
-            assert lc[m] == _engine.spread(adj, m & -m, m), (g, m)
             assert odd[m] == _engine.odd_component_count(adj, m), (g, m)
 
 
@@ -49,7 +47,6 @@ def test_odd_table_matches_flood_fill(chunk, monkeypatch, request):
         got = _engine.odd_table(g)
         assert type(got) is list and len(got) == 1 << g.order, g
         assert got == [_engine.odd_component_count(adj, m) for m in range(1 << g.order)], g
-        assert "comp_table" not in g._cache
 
 
 def test_odd_table_refuses_before_building(monkeypatch):
@@ -57,7 +54,7 @@ def test_odd_table_refuses_before_building(monkeypatch):
         raise AssertionError("built part of a table past the limit")
 
     monkeypatch.setattr(_engine, "TABLE_LIMIT", 5)
-    for name in ("adjacency_masks", "component_split", "_odd_digits", "component_table"):
+    for name in ("adjacency_masks", "component_split", "_odd_digits"):
         monkeypatch.setattr(_engine, name, build)
     g = cycle(6)
     with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
@@ -78,7 +75,7 @@ def test_check_at_order_14_builds_no_component_table(monkeypatch, capsys):
     assert exits == {cli.EXIT_OK, cli.EXIT_FAILS}
     # the failing triples' witnesses are read from the planes as well
     assert {"nu_planes", "odd_digits"} <= set(g._cache)
-    assert not {"nu_table", "odd_table", "comp_table"} & set(g._cache)
+    assert not {"nu_table", "odd_table"} & set(g._cache)
 
 
 def _nu_by_every_neighbour(g):

@@ -430,10 +430,10 @@ def test_derived_hosts_keep_no_tables_or_parent_links():
                  if isinstance(key, tuple) and key[0] == "derived"]
         assert hosts, g
         for h in hosts:
-            # the summary was folded from the parent's tables, and the
+            # the summary was read from the parent's planes, and the
             # link to the parent was dropped once it was built
             assert "char_summary" in h._cache
-            assert not {"nu_table", "odd_table", "comp_table", "derived_from"} & set(h._cache)
+            assert not {"nu_table", "odd_table", "derived_from"} & set(h._cache)
 
 
 def test_checked_graph_is_freed_without_the_cycle_collector():
@@ -455,18 +455,6 @@ def test_derived_summary_respects_table_limit(monkeypatch):
     cone = harness._derived(g, "cone")
     with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
         nkd_holds(cone, NkdParams(2, 0, 0))
-
-
-def test_component_table_refuses_before_allocating(monkeypatch):
-    def allocate(*args):
-        raise AssertionError("allocated a table past the limit")
-
-    monkeypatch.setattr(_engine, "TABLE_LIMIT", 5)
-    monkeypatch.setattr(_engine, "array", allocate)
-    g = cycle(6)
-    with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
-        _engine.component_table(g)
-    assert "comp_table" not in g._cache
 
 
 def test_run_census_small_stream_all_theorems():

@@ -193,7 +193,7 @@ def test_berge_flood_fills_above_the_table_limit():
     assert berge_violating_set(star, 1, cap=30) == (0,)
     assert berge_violating_set(edgeless, 1, cap=30) == ()
     for g in (star, edgeless):
-        assert not {"odd_digits", "odd_table", "comp_table"} & set(g._cache)
+        assert not {"odd_digits", "odd_table"} & set(g._cache)
 
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
