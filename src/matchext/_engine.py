@@ -371,27 +371,6 @@ def _odd_digits(adj: tuple[int, ...], low: int, fixed: list[int]) -> list[int]:
     return _count_planes(counted)
 
 
-def factor_critical_mask(g: Graph, comp_mask: int) -> bool:
-    """Whether the induced subgraph on ``comp_mask`` (assumed connected) is
-    factor-critical.  Cached per graph, keyed by the vertex mask."""
-    fc = g._cache.setdefault("fc_mask", {})
-    got = fc.get(comp_mask)
-    if got is None:
-        size = comp_mask.bit_count()
-        if size % 2 == 0:
-            got = False
-        elif size == 1:
-            got = True
-        else:
-            nu = nu_table(g)
-            want = (size - 1) // 2
-            got = all(
-                nu[comp_mask ^ (1 << v)] == want for v in bits_of(comp_mask)
-            )
-        fc[comp_mask] = got
-    return got
-
-
 # -- blossom maximum matching ------------------------------------------------
 
 

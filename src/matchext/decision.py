@@ -273,27 +273,11 @@ def _char_summary(g: Graph) -> list[list[int]]:
     minus |S| over subsets S of size exactly s whose induced subgraph has a
     k-matching.
 
-    The rows are read from the planes (:func:`_plane_rows`), without a 2^n
-    list.  A graph built by :func:`_derived` links to its parent
-    (``"derived_from"``) until this summary is built; the link is then
-    dropped so that no parent <-> child cycle survives.  The cone's planes
-    are extended exactly from its parent's (:func:`_cone_planes`).  For
-    G + uv and G - uv the rows are only an upper bound
-    (:func:`_edge_bound`), flagged by ``"summary_is_bound"`` until
-    :func:`_characterization_holds` swaps in exact rows."""
-
-    def build():
-        link = g._cache.pop("derived_from", None)
-        if link is None:
-            planes, digits = _engine.nu_planes(g), _engine.odd_digits(g)
-        elif link[1] == "cone":
-            planes, digits = _cone_planes(g, link[0])
-        else:
-            g._cache["summary_is_bound"] = True
-            return _edge_bound(*link)
-        return _plane_rows(g.order, planes, digits)
-
-    return _engine.cached(g, "char_summary", build)
+    The rows are exact, read from the graph's own planes
+    (:func:`_plane_rows`) without a 2^n list; a cone built by
+    :func:`_derived` carries them from the start."""
+    return _engine.cached(
+        g, "char_summary", lambda: _plane_rows(g.order, _engine.nu_planes(g), _engine.odd_digits(g)))
 
 
 def _plane_rows(order: int, planes: list[int], digits: list[int]) -> list[list[int]]:
@@ -326,13 +310,19 @@ def _plane_rows(order: int, planes: list[int], digits: list[int]) -> list[list[i
 
 def _derived(g: Graph, method: str, *args) -> Graph:
     """``getattr(g, method)(*args)`` (``add_edge``, ``delete_edge`` or
-    ``cone``), cached on the parent so that rules and triples share it.  The
-    host links to its parent (``"derived_from"``) until its summary is built
-    from the parent's planes by :func:`_char_summary`."""
+    ``cone``), cached on the parent so that rules and triples share it.
+    The host's rows are read from the parent's planes as it is built: the
+    cone's exact summary (:func:`_cone_planes`), kept as ``"char_summary"``,
+    and for G + uv and G - uv an upper bound (:func:`_edge_bound`), kept as
+    ``"bound_rows"`` beside the exact rows, which the host builds from its
+    own planes only when the bound is inconclusive."""
 
     def build():
         host = getattr(g, method)(*args)
-        host._cache["derived_from"] = (g, method, args)
+        if method == "cone":
+            host._cache["char_summary"] = _plane_rows(host.order, *_cone_planes(host, g))
+        else:
+            host._cache["bound_rows"] = _edge_bound(g, method, args)
         return host
 
     return _engine.cached(g, ("derived", method) + args, build)
@@ -425,17 +415,22 @@ def _joined_planes(g: Graph, source: int, avoided: int) -> list[int]:
 
 
 def _characterization_holds(g: Graph, n: int, k: int, d: int) -> bool:
-    """The two row tests on :func:`_char_summary`.  When the rows are an
-    edited host's upper bound and do not show the target holding, they are
-    replaced by the exact rows of a table-less copy, so every failure is
-    decided exactly and the host caches no tables."""
-    rows = _char_summary(g)
-    holds = max(rows[0][n:]) <= d - n and (
-        k >= len(rows) or n + 2 * k > g.order or max(rows[k][n + 2 * k:]) <= d - n - 2 * k)
-    if holds or not g._cache.pop("summary_is_bound", False):
-        return holds
-    g._cache["char_summary"] = _char_summary(Graph(g.order, g.edges))
-    return _characterization_holds(g, n, k, d)
+    """The two row tests, on an edited host's upper bound (``"bound_rows"``,
+    see :func:`_derived`) first when it has one, and on the exact rows of
+    :func:`_char_summary` unless the bound shows the target holding.  A
+    bound never fails a target that holds, so every failure is decided on
+    exact rows."""
+    bound = g._cache.get("bound_rows")
+    if bound is not None and _rows_hold(bound, n, k, d):
+        return True
+    return _rows_hold(_char_summary(g), n, k, d)
+
+
+def _rows_hold(rows: list[list[int]], n: int, k: int, d: int) -> bool:
+    """Condition "i" on row 0 from size n, and condition "ii" on row k from
+    size n + 2k; past the last row no subset has a k-matching."""
+    return max(rows[0][n:]) <= d - n and (
+        k >= len(rows) or max(rows[k][n + 2 * k:]) <= d - n - 2 * k)
 
 
 def nkd_holds(g: Graph, params: NkdParams, cap: int | None = None) -> bool:
@@ -472,7 +467,6 @@ def is_nkd_by_characterization(g: Graph, params: NkdParams, cap: int | None = No
     n, k, d = params.as_tuple()
     if _characterization_holds(g, n, k, d):
         return Verdict(True)
-    # a failure has swapped any upper bound for the exact rows
     rows = _char_summary(g)
     size = next(s for s in range(n, g.order + 1) if rows[0][s] > d - n or (
         s >= n + 2 * k and k < len(rows) and rows[k][s] > d - n - 2 * k))
@@ -516,7 +510,7 @@ def verify_witness(g: Graph, params: NkdParams, witness: Witness) -> bool:
     Malformed witnesses yield False rather than an exception."""
     try:
         return _verify_witness(g, params, witness)
-    except ValueError:
+    except (TypeError, ValueError):
         return False
 
 
@@ -694,33 +688,33 @@ def _scan_decomposition_witness(
     cap: int | None = None,
 ) -> DecompositionWitness | None:
     """Subset-scan oracle for :func:`find_decomposition_witness`: the same
-    answer, searched afresh per query by flood fill, without the forced set
-    or the matching-table test of the rest.
+    answer, searched afresh per query without the forced set or any subset
+    table.
 
     Scans all subsets of size n - 2 + 2k avoiding the edge's endpoints, in
-    lexicographic order, and returns the first whose induced subgraph holds
-    the required matching while the rest of the graph splits into exactly d
-    factor-critical odd components plus the bare edge.
+    lexicographic order, and returns the first whose removal leaves, by
+    flood fill, exactly d odd components plus the bare edge, each odd one
+    factor-critical (:func:`is_factor_critical` on its induced subgraph),
+    while the subset's own induced subgraph holds the required matching
+    (:func:`maximum_matching`).
     """
     edge, variant, need, size = _decomposition_query(g, params, edge, variant, cap)
     d = params.d
     others = [w for w in range(g.order) if w not in edge]
-    nu = _engine.nu_table(g)
     adj = _engine.adjacency_masks(g)
     full = _engine.full_mask(g)
     uv_mask = (1 << edge[0]) | (1 << edge[1])
+
+    def induced(mask: int) -> Graph:
+        return g.induced_subgraph(_engine.bits_of(mask))[0]
+
     for subset in combinations(others, size):
         smask = _engine.mask_of(subset)
-        if nu[smask] < need:
-            continue
         comps = _engine.component_split(adj, full & ~smask)
         if len(comps) != d + 1 or uv_mask not in comps:
             continue
-        if all(
-            c.bit_count() & 1 and _engine.factor_critical_mask(g, c)
-            for c in comps
-            if c != uv_mask
-        ):
+        if all(c.bit_count() & 1 and is_factor_critical(induced(c))
+               for c in comps if c != uv_mask) and len(maximum_matching(induced(smask))) >= need:
             return _decomposition_witness(g, subset, smask, edge, variant, need)
     return None
 
@@ -730,7 +724,7 @@ def verify_decomposition_witness(g: Graph, params: NkdParams, w: DecompositionWi
     matching/structure operations.  Malformed witnesses yield False."""
     try:
         return _verify_decomposition_witness(g, params, w)
-    except ValueError:
+    except (TypeError, ValueError):
         return False
 
 

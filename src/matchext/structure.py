@@ -12,12 +12,10 @@ from .matching import maximum_matching
 
 
 class ComponentProfile:
-    """The connected components of a graph, with lazily computed
-    factor-criticality flags.
+    """The connected components of a graph, with their parities.
 
     Components are tuples of vertex ids (host coordinates), ordered by their
-    smallest vertex; flags are cached per component on the host graph, so
-    repeated profiles of the same graph share the work.
+    smallest vertex.
     """
 
     def __init__(self, graph: Graph, components: tuple[tuple[int, ...], ...]):
@@ -35,20 +33,6 @@ class ComponentProfile:
 
     def odd_count(self) -> int:
         return sum(1 for c in self.components if len(c) % 2 == 1)
-
-    def factor_critical(self, index: int) -> bool:
-        """Whether component ``index`` is factor-critical (False for even
-        components).  Computed on demand and cached."""
-        comp = self.components[index]
-        if len(comp) % 2 == 0:
-            return False
-        cache = self.graph._cache.setdefault("fc_comp", {})
-        got = cache.get(comp)
-        if got is None:
-            sub, _ = self.graph.induced_subgraph(comp)
-            got = is_factor_critical(sub)
-            cache[comp] = got
-        return got
 
     def describe(self) -> list[str]:
         out = []

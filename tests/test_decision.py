@@ -188,12 +188,18 @@ def test_aliases():
 @pytest.mark.parametrize("code, triple, witness", [
     ("GdxV^k", (2, 0, 0), CharacterizationViolation("i", (0, 0))),
     ("GbLyLC", (2, 1, 2), BlockedExtension((7, 7), ((1, 5),), ())),
+    ("GdxV^k", (2, 0, 0), NoKMatching(("a", "b"))),
+    ("GdxV^k", (2, 0, 0), CharacterizationViolation("i", ("a", "b"))),
+    ("GdxV^k", (2, 0, 0), BlockedExtension(("a", "b"), (), ())),
+    ("GwCW?C", (2, 1, 2), DecompositionWitness((0, 1), ("6", "7"), "d1", ((2,), (3, 4, 5)), ())),
 ])
 def test_verify_witness_rejects_repeated_vertices(code, triple, witness):
-    # the triple holds, so a witness naming a vertex twice must not pass
+    # the triple holds, so a witness naming a vertex twice, or a vertex that
+    # is not an integer, must not pass; a malformed one yields False
     g, p = read_graph6(code), NkdParams(*triple)
     assert nkd_holds(g, p) and is_nkd_by_definition(g, p).holds
-    assert not verify_witness(g, p, witness)
+    verify = verify_decomposition_witness if isinstance(witness, DecompositionWitness) else verify_witness
+    assert not verify(g, p, witness)
 
 
 def test_verify_witness_rejects_tampered():
@@ -664,20 +670,22 @@ def test_oracles_read_no_odd_planes(monkeypatch):
     assert found is not None
 
     def refuse(g):
-        raise AssertionError("an oracle read the odd planes")
+        raise AssertionError("an oracle read a subset table")
 
     monkeypatch.setattr(_engine, "odd_digits", refuse)
     fresh = Graph(g.order, g.edges)
-    with pytest.raises(AssertionError, match="odd planes"):
+    with pytest.raises(AssertionError, match="subset table"):
         _engine.odd_table(fresh)
     assert find_decomposition_witness(Graph(g.order, g.edges), dp, edge, "d1") == found
+    # the subset scan reads no matching list either
+    monkeypatch.setattr(_engine, "nu_table", refuse)
     assert _scan_decomposition_witness(fresh, dp, edge, "d1") == found
     assert all(verify_witness(fresh, p, w) for w in failures)
     assert verify_decomposition_witness(fresh, dp, found)
     assert components(fresh).components == ((0, 1, 2), (3, 4, 5), (6, 7))
     assert odd_count_after_deletion(fresh, (0, 1)) == 2
     assert odd_count_after_deletion(fresh, (6,)) == 3
-    assert not {"odd_digits", "odd_table"} & set(fresh._cache)
+    assert not {"nu_planes", "nu_table", "odd_digits", "odd_table"} & set(fresh._cache)
 
 
 def test_separator_search_reads_only_the_matching_table(monkeypatch):
@@ -709,37 +717,28 @@ def _edits(g):
 
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
-def test_derived_summary_matches_fresh(fixture, request, monkeypatch):
-    # every valid triple decided on the host against a fresh copy, then the
-    # cone's planes extended from the parent's and the upper bound of G + uv
-    # and G - uv against the copy's tables and summary.  A host decides a
-    # failing target on a table-less copy of itself; that copy is recorded
-    # and serves as the fresh graph, so each edit builds its tables once.  A
-    # fresh parent per graph keeps the shared fixtures' caches free of hosts
-    copies = []
-
-    class Recorded(Graph):
-        def __init__(self, order, edges):
-            super().__init__(order, edges)
-            copies.append(self)
-
-    monkeypatch.setattr(decision, "Graph", Recorded)
+def test_derived_summary_matches_fresh(fixture, request):
+    # the host's summary against a fresh copy's, before any decision; every
+    # valid triple decided on the host against the copy; then the cone's
+    # planes extended from the parent's and the upper bound of G + uv and
+    # G - uv against the copy's summary.  A fresh parent per graph keeps
+    # the shared fixtures' caches free of hosts
     triples = {order: valid_triples(order) for order in range(1, 10)}
     for g in request.getfixturevalue(fixture):
         parent = Graph(g.order, g.edges)
         for edit in _edits(parent):
             h = _derived(parent, *edit)
-            rows = _char_summary(h)
+            fresh = Graph(h.order, h.edges)
+            exact = _char_summary(fresh)
+            assert _char_summary(h) == exact, (g, edit)
             params = triples[h.order]
             decided = [nkd_holds(h, p) for p in params]
-            fresh = copies.pop() if copies else Graph(h.order, h.edges)
-            assert not copies and fresh == h and fresh is not h
             want = [_characterization_holds(fresh, *p.as_tuple()) for p in params]
             assert decided == want, (g, edit)
             if edit[0] == "cone":
                 planes = _cone_planes(h, parent)
                 assert planes == (_engine.nu_planes(fresh), _engine.odd_digits(fresh)), (g, edit)
-            exact = _char_summary(fresh)
+            rows = h._cache.get("bound_rows", exact)
             assert len(rows) >= len(exact), (g, edit)
             for row, exact_row in zip(rows, exact):
                 assert all(map(int.__ge__, row, exact_row)), (g, edit)
@@ -759,7 +758,7 @@ def test_edge_bound_matches_the_list_fold(fixture, request):
             if edit[0] == "cone":
                 continue
             h = _derived(parent, *edit)
-            rows = _char_summary(h)
+            rows = h._cache["bound_rows"]
             fresh = Graph(h.order, h.edges)
             pair = (fresh, base) if edit[0] == "add_edge" else (base, fresh)
             assert rows == _fold_summary(*pair), (g, edit)
@@ -774,17 +773,18 @@ def test_edge_bound_matches_the_list_fold(fixture, request):
 ])
 def test_inconclusive_bound_is_decided_exactly(code, method, edge, triple, holds):
     # hosts whose upper bound does not show the target holding: the answer
-    # comes from the exact rows, and the host still keeps no tables
+    # comes from the exact rows, built beside the bound, and the host still
+    # keeps no lists
     h = _derived(read_graph6(code), method, *edge)
     p = NkdParams(*triple)
-    bound = _char_summary(h)
-    assert h._cache["summary_is_bound"]
+    bound = h._cache["bound_rows"]
+    assert "char_summary" not in h._cache
     fresh = Graph(h.order, h.edges)
     assert is_nkd_by_definition(fresh, p).holds is holds
     assert nkd_holds(h, p) is holds
-    assert h._cache["char_summary"] is not bound
-    assert h._cache["char_summary"] == _char_summary(fresh)
-    assert not {"nu_table", "odd_table", "derived_from", "summary_is_bound"} & set(h._cache)
+    assert h._cache["bound_rows"] is bound
+    assert h._cache["char_summary"] == _char_summary(fresh) != bound
+    assert not {"nu_table", "odd_table"} & set(h._cache)
 
 
 def test_decomposition_witness_kv_lines():

@@ -9,6 +9,7 @@ from matchext import (
     family_cliques_plus_edge_cone,
     family_gadget_chain,
     gadget_chain_distinguished_edge,
+    is_factor_critical,
     read_graph6,
     write_graph6,
 )
@@ -53,8 +54,7 @@ def test_cliques_plus_edge_component_structure():
         profile = components(g)
         sizes = sorted(len(c) for c in profile)
         assert sizes == [2] + [2 * m + 1] * d
-        odd_flags = [profile.factor_critical(i) for i in range(len(profile))
-                     if profile.is_odd(i)]
+        odd_flags = [is_factor_critical(g.induced_subgraph(c)[0]) for c in profile if len(c) % 2]
         assert odd_flags == [True] * d
         assert profile.odd_count() == d
 

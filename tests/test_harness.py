@@ -430,10 +430,11 @@ def test_derived_hosts_keep_no_tables_or_parent_links():
                  if isinstance(key, tuple) and key[0] == "derived"]
         assert hosts, g
         for h in hosts:
-            # the summary was read from the parent's planes, and the
-            # link to the parent was dropped once it was built
-            assert "char_summary" in h._cache
-            assert not {"nu_table", "odd_table", "derived_from"} & set(h._cache)
+            # the rows were read from the parent's planes as the host was
+            # built: the cone's exact summary, the edited hosts' bound
+            assert ("char_summary" if h.order > g.order else "bound_rows") in h._cache
+            assert not {"nu_table", "odd_table"} & set(h._cache)
+            assert not any(value is g for value in h._cache.values())
 
 
 def test_checked_graph_is_freed_without_the_cycle_collector():
@@ -452,9 +453,9 @@ def test_derived_summary_respects_table_limit(monkeypatch):
     g = cycle(5)
     monkeypatch.setattr(_engine, "TABLE_LIMIT", 5)
     assert not nkd_holds(g, NkdParams(1, 1, 0))
-    cone = harness._derived(g, "cone")
     with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
-        nkd_holds(cone, NkdParams(2, 0, 0))
+        harness._derived(g, "cone")
+    assert ("derived", "cone") not in g._cache
 
 
 def test_run_census_small_stream_all_theorems():

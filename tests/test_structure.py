@@ -103,14 +103,12 @@ def test_factor_critical_three_ways():
             assert direct == is_n_critical(g, 1).holds
 
 
-def test_component_profile_lazy_flags():
+def test_component_profile_parities():
+    # the odd components are the factor-critical cliques, the even one the edge
     g = family_cliques_plus_edge(2, 2)
     profile = components(g)
-    for i in range(len(profile)):
-        if profile.is_odd(i):
-            assert profile.factor_critical(i)
-        else:
-            assert not profile.factor_critical(i)
+    for i, comp in enumerate(profile):
+        assert profile.is_odd(i) == is_factor_critical(g.induced_subgraph(comp)[0])
     lines = profile.describe()
     assert len(lines) == 3 and "(even)" in lines[-1]
 
