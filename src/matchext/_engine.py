@@ -13,11 +13,9 @@ hosts read the planes, with the size planes (:func:`size_planes`), the
 vertex planes (:func:`vertex_planes`), the reversal that maps mask M to
 V - M (:func:`reversed_plane`), a bit-sliced comparison with a constant
 (:func:`count_above`) and the lexicographically first mask of a plane
-(:func:`first_mask`).  Only the separator search, which indexes single
-masks, converts the matching planes, through a bit-sliced counter and one
-conversion at one byte per mask (:func:`_byte_lanes`), into the 2^n list
-:func:`nu_table`; :func:`odd_table` converts the digit planes the same way
-for the oracles.  The flood fill (:func:`spread`, :func:`component_split`,
+(:func:`first_mask`).  No program path reads a 2^n list: :func:`nu_table`
+and :func:`odd_table`, one byte per mask (:func:`_table`), are the tests'
+pointwise views.  The flood fill (:func:`spread`, :func:`component_split`,
 :func:`odd_component_count`) stays for the oracles and slow paths that must
 not read the tables.
 """
@@ -118,8 +116,8 @@ def _require_table(g: Graph):
         )
 
 
-#: masks per chunk: the odd-count planes span the vertices below
-#: log2(_CHUNK), and both tables are converted this many masks at a time
+#: masks per chunk: the odd-count planes are built over the vertices below
+#: log2(_CHUNK), one chunk of masks at a time
 _CHUNK = 1 << 16
 #: binary digit characters to their values, one byte each
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
@@ -207,29 +205,17 @@ def _count_planes(planes) -> list[int]:
     return digits
 
 
-def _byte_lanes(digits: list[int], start: int, width: int) -> bytes:
-    """The counter ``digits`` at masks ``start`` .. ``start + width - 1``,
-    one byte per mask.  A digit plane's bit string, its characters
+def _table(digits: list[int], order: int) -> list[int]:
+    """The counter ``digits`` over all 2^order masks as a list, for the
+    tests' pointwise views.  A digit plane's bit string, its characters
     translated to bytes 0 and 1 and read as a big-endian int, puts that
     digit in the byte lane of its mask; the shifted digits sum to the
     count, and no count exceeds ``TABLE_LIMIT`` = 24, so a byte holds it."""
-    low = (1 << width) - 1
     lanes = 0
     for t, plane in enumerate(digits):
-        bits = format(plane >> start & low, "b").encode().translate(_BIT_VALUES)
+        bits = format(plane, "b").encode().translate(_BIT_VALUES)
         lanes |= int.from_bytes(bits, "big") << t
-    return lanes.to_bytes(width, "little")
-
-
-def _table(digits: list[int], order: int) -> list[int]:
-    """The counter ``digits`` over all 2^order masks as a list, converted
-    ``_CHUNK`` masks at a time (:func:`_byte_lanes`)."""
-    size = 1 << order
-    width = min(size, _CHUNK)
-    table = [0] * size
-    for start in range(0, size, width):
-        table[start:start + width] = _byte_lanes(digits, start, width)
-    return table
+    return list(lanes.to_bytes(1 << order, "little"))
 
 
 def nu_planes(g: Graph) -> list[int]:

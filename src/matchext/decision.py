@@ -224,6 +224,21 @@ def _matching_plane(g: Graph, j: int) -> int:
     return planes[j - 1] if j <= len(planes) else 0
 
 
+def _critical_plane(g: Graph, j: int) -> int:
+    """The masks R with ``nu[R] = j`` that no vertex deletion lowers:
+    ``P_j & ~P_{j+1}`` less each mask holding a w with R - w outside P_j.
+    By Gallai's lemma their |R| - 2j components are all factor-critical."""
+
+    def build():
+        matched = _matching_plane(g, j)
+        plane = matched & ~_matching_plane(g, j + 1)
+        for w, held in enumerate(_engine.vertex_planes(g.order)):
+            plane &= ~held | (matched & ~held) << (1 << w)
+        return plane
+
+    return _engine.cached(g, ("critical", j), build)
+
+
 def _first_violation(g: Graph, params: NkdParams, short: int, blocked: int) -> Verdict:
     """The first violation, named from the planes of :func:`_violating_sets`.
 
@@ -615,19 +630,20 @@ def find_decomposition_witness(
     components plus the bare edge, or None when no such separator exists.
 
     For uv to be bare, S holds the forced set F, every other neighbour of u
-    and v, so only the supersets of F are scanned.  The rest R = V - S - uv
-    is then read from the matching table alone: by Gallai's lemma every
-    component of G[R] is factor-critical exactly when no vertex w of R has
-    ``nu[R - w] < nu[R]``, and those components are odd and number
-    |R| - 2 ``nu[R]``.
+    and v, so only the supersets of F are scanned.  Each candidate is then
+    two bit tests on the matching planes: S must lie in P_need, and the
+    rest R = V - S - uv, of the fixed size r, in the critical plane of
+    level j = (r - d) / 2 (:func:`_critical_plane`), whose masks split into
+    exactly r - 2j factor-critical components.
     """
     edge, variant, need, size = _decomposition_query(g, params, edge, variant, cap)
     adj = _engine.adjacency_masks(g)
     uv_mask = (1 << edge[0]) | (1 << edge[1])
     forced = (adj[edge[0]] | adj[edge[1]]) & ~uv_mask
-    if forced.bit_count() > size:
+    j, odd = divmod(g.order - 2 - size - params.d, 2)
+    if forced.bit_count() > size or odd or j < 0:
         return None
-    nu = _engine.nu_table(g)
+    critical, matched = _critical_plane(g, j), _matching_plane(g, need)
     full = _engine.full_mask(g)
     free = [1 << w for w in _engine.bits_of(full & ~uv_mask & ~forced)]
     # S = F + X comes out in lexicographic order: of two equal-size sets the
@@ -636,9 +652,7 @@ def find_decomposition_witness(
     for x in map(sum, combinations(free, size - forced.bit_count())):
         smask = forced | x
         rest = full & ~smask & ~uv_mask
-        k = nu[rest]
-        if (nu[smask] >= need and rest.bit_count() - 2 * k == params.d
-                and all(nu[rest & ~(1 << w)] == k for w in _engine.bits_of(rest))):
+        if critical >> rest & 1 and matched >> smask & 1:
             return _decomposition_witness(g, tuple(_engine.bits_of(smask)), smask,
                                           edge, variant, need)
     return None

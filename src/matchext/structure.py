@@ -18,8 +18,7 @@ class ComponentProfile:
     smallest vertex.
     """
 
-    def __init__(self, graph: Graph, components: tuple[tuple[int, ...], ...]):
-        self.graph = graph
+    def __init__(self, components: tuple[tuple[int, ...], ...]):
         self.components = components
 
     def __len__(self) -> int:
@@ -46,7 +45,7 @@ def components(g: Graph) -> ComponentProfile:
     """Connected components of ``g`` in deterministic order."""
     adj = _engine.adjacency_masks(g)
     masks = _engine.component_split(adj, _engine.full_mask(g))
-    return ComponentProfile(g, tuple(tuple(_engine.bits_of(m)) for m in masks))
+    return ComponentProfile(tuple(tuple(_engine.bits_of(m)) for m in masks))
 
 
 def odd_count_after_deletion(g: Graph, members: Iterable[int]) -> int:

@@ -673,12 +673,12 @@ def test_oracles_read_no_odd_planes(monkeypatch):
         raise AssertionError("an oracle read a subset table")
 
     monkeypatch.setattr(_engine, "odd_digits", refuse)
+    monkeypatch.setattr(_engine, "nu_table", refuse)
     fresh = Graph(g.order, g.edges)
     with pytest.raises(AssertionError, match="subset table"):
         _engine.odd_table(fresh)
+    # the search reads the matching planes, and the subset scan no table
     assert find_decomposition_witness(Graph(g.order, g.edges), dp, edge, "d1") == found
-    # the subset scan reads no matching list either
-    monkeypatch.setattr(_engine, "nu_table", refuse)
     assert _scan_decomposition_witness(fresh, dp, edge, "d1") == found
     assert all(verify_witness(fresh, p, w) for w in failures)
     assert verify_decomposition_witness(fresh, dp, found)
@@ -688,21 +688,54 @@ def test_oracles_read_no_odd_planes(monkeypatch):
     assert not {"nu_planes", "nu_table", "odd_digits", "odd_table"} & set(fresh._cache)
 
 
-def test_separator_search_reads_only_the_matching_table(monkeypatch):
+def test_separator_search_reads_only_the_matching_planes(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the separator search read a table other than nu")
+        raise AssertionError("the separator search read more than the matching planes")
 
-    for owner, name in ((_engine, "odd_table"), (decision, "_char_summary")):
+    for owner, name in ((_engine, "nu_table"), (_engine, "odd_table"),
+                        (decision, "_char_summary")):
         monkeypatch.setattr(owner, name, refuse)
     h = family_cliques_plus_edge(2, 1)
+    # the rest of a 2-set separator has 4 vertices, so d = 2 asks level 1
     w = find_decomposition_witness(h, NkdParams(2, 1, 2), (6, 7), "d1")
     assert w is not None and w.separator == (0, 1)
-    assert set(h._cache) == {"adj_masks", "nu_planes", "nu_table"}
+    assert set(h._cache) == {"adj_masks", "nu_planes", ("critical", 1)}
     # the forced set {2, ..., 5} of edge 0-1 outgrows the separator size 2,
     # so the search answers before building any table
     g = complete(6)
     assert find_decomposition_witness(g, NkdParams(2, 1, 0), (0, 1), "d1") is None
     assert set(g._cache) == {"adj_masks"}
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
+def test_critical_plane_matches_a_per_mask_scan(fixture, request):
+    # level j holds the masks R with nu[R] = j that no vertex deletion
+    # lowers, read from the list of a fresh copy that shares no planes
+    for g in request.getfixturevalue(fixture):
+        g = Graph(g.order, g.edges)
+        nu = _engine.nu_table(Graph(g.order, g.edges))
+        for j in range(nu[-1] + 1):
+            want = [m for m in range(1 << g.order) if nu[m] == j
+                    and all(nu[m & ~(1 << w)] == j for w in _engine.bits_of(m))]
+            assert _masks_of(decision._critical_plane(g, j), g.order) == want, (g, j)
+
+
+@pytest.mark.parametrize("family, witnessed", [(family_cliques_plus_edge(3, 2), True),
+                                               (family_gadget_chain(3), False)],
+                         ids=["cliques-plus-edge-3-2", "gadget-chain-3"])
+def test_separator_search_matches_the_scan_above_the_census_cap(family, witnessed):
+    # order 17: every seventh valid triple on the distinguished edge, whose
+    # forced set is empty in the clique family, so the search is widest;
+    # the gadget chain's edge has a witness at no valid triple
+    g, edge, found = Graph(family.order, family.edges), (15, 16), 0
+    for p in _some_triples(g.order):
+        for variant, pre in (("d1", p.n >= 2), ("d3", p.k >= 1)):
+            if pre:
+                got = find_decomposition_witness(g, p, edge, variant, cap=17)
+                want = _scan_decomposition_witness(family, p, edge, variant, cap=17)
+                assert (got and got.to_dict()) == (want and want.to_dict()), (p, variant)
+                found += got is not None
+    assert (found > 0) == witnessed
 
 
 def _edits(g):

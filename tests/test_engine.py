@@ -102,16 +102,6 @@ def test_nu_table_matches_every_neighbour_dp(fixture, request):
         assert type(got) is list and got == _nu_by_every_neighbour(g), g
 
 
-def test_nu_table_converts_chunk_by_chunk(monkeypatch):
-    # chunks of 16 masks make every graph above order 4 span several
-    monkeypatch.setattr(_engine, "_CHUNK", 16)
-    rng = random.Random(17)
-    for order in range(11):
-        for _ in range(4):
-            g = random_graph(rng, order, rng.uniform(0.2, 0.9))
-            assert _engine.nu_table(g) == _nu_by_every_neighbour(Graph(g.order, g.edges)), g
-
-
 def test_nu_table_refuses_before_allocating(monkeypatch):
     def allocate(*args):
         raise AssertionError("built part of a table past the limit")
