@@ -40,17 +40,6 @@ def cached(g: Graph, key, builder):
     return cache[key]
 
 
-def adjacency_masks(g: Graph) -> tuple[int, ...]:
-    def build():
-        masks = [0] * g.order
-        for u, v in g.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
-
-    return cached(g, "adj_masks", build)
-
-
 def full_mask(g: Graph) -> int:
     return (1 << g.order) - 1
 
@@ -234,7 +223,7 @@ def nu_planes(g: Graph) -> list[int]:
 
     def build():
         _require_table(g)
-        return _nu_planes(adjacency_masks(g), g.order)
+        return _nu_planes(g.adjacency, g.order)
 
     return cached(g, "nu_planes", build)
 
@@ -286,7 +275,7 @@ def odd_digits(g: Graph) -> list[int]:
 
     def build():
         _require_table(g)
-        adj = adjacency_masks(g)
+        adj = g.adjacency
         low = min(g.order, _CHUNK.bit_length() - 1)
         chunks = [_odd_digits(adj, low, component_split(adj, start))
                   for start in range(0, 1 << g.order, 1 << low)]

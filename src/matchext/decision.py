@@ -255,14 +255,13 @@ def _first_violation(g: Graph, params: NkdParams, short: int, blocked: int) -> V
     later edges, so no branch is a dead end."""
     order, k = g.order, params.k
     holding = _engine.vertex_planes(order)
-    adj = _engine.adjacency_masks(g)
     reach = [blocked]
     for _ in range(k):
         plane = 0
         if reach[-1]:
             for u in range(order):
                 with_u = reach[-1] & holding[u]
-                for v in _engine.bits_of(adj[u] & -(2 << u)):  # the edges uv with u < v
+                for v in _engine.bits_of(g.adjacency[u] & -(2 << u)):  # the edges uv with u < v
                     plane |= (with_u & holding[v]) >> ((1 << u) + (1 << v))
         reach.append(plane)
     smask = _engine.first_mask(short | reach[k], order)
@@ -400,25 +399,24 @@ def _edge_bound(parent: Graph, method: str, args: tuple) -> list[list[int]]:
 
 def _bridge_plane(g: Graph, u: int, v: int) -> int:
     """B, the masks R holding u and v in which uv is a bridge of G[R]
-    between two odd parts: v's part of G[R - u] meets no other neighbour
-    of u and is odd, and u's part of G[R - v] is odd.  A part's parity is
-    the XOR of its joined planes (:func:`_joined_planes`).  Both sides are
-    always needed, as B always holds the mask {u, v}."""
-    joined = _joined_planes(g, v, u)
-    others = _engine.bits_of(_engine.adjacency_masks(g)[u] & ~(1 << v))
-    met = reduce(operator.or_, [joined[w] for w in others], 0)
+    between two odd parts: in G[R] - uv, u is not joined to v and both
+    parts are odd.  A part's parity is the XOR of its joined planes
+    (:func:`_joined_planes`), grown over the edges of G - uv.  Both sides
+    are always needed, as B always holds the mask {u, v}."""
+    uv = (min(u, v), max(u, v))
+    edges = [e for e in g.edges if e != uv]
+    from_v, from_u = (_joined_planes(g.order, edges, source) for source in (v, u))
     # v's parity plane holds only masks with v, u's only masks with u
-    return reduce(operator.xor, joined) & ~met & reduce(operator.xor, _joined_planes(g, u, v))
+    return ~from_v[u] & reduce(operator.xor, from_v) & reduce(operator.xor, from_u)
 
 
-def _joined_planes(g: Graph, source: int, avoided: int) -> list[int]:
+def _joined_planes(order: int, edges: list[Edge], source: int) -> list[int]:
     """``joined[w]``: the masks M holding ``source`` and w in which w is
-    joined to ``source`` in G[M - avoided].  The source's plane is the masks
-    holding it; an edge ab of G - avoided joins a on the masks that hold a
-    and join b.  The edges are swept until no plane grows."""
-    holding = _engine.vertex_planes(g.order)
-    edges = [(a, b) for a, b in g.edges if avoided not in (a, b)]
-    joined = [0] * g.order
+    joined to ``source`` by ``edges`` inside M.  The source's plane is the
+    masks holding it; an edge ab joins a on the masks that hold a and join
+    b.  The edges are swept until no plane grows."""
+    holding = _engine.vertex_planes(order)
+    joined = [0] * order
     joined[source] = holding[source]
     while True:
         before = joined.copy()
@@ -637,9 +635,8 @@ def find_decomposition_witness(
     exactly r - 2j factor-critical components.
     """
     edge, variant, need, size = _decomposition_query(g, params, edge, variant, cap)
-    adj = _engine.adjacency_masks(g)
     uv_mask = (1 << edge[0]) | (1 << edge[1])
-    forced = (adj[edge[0]] | adj[edge[1]]) & ~uv_mask
+    forced = (g.adjacency[edge[0]] | g.adjacency[edge[1]]) & ~uv_mask
     j, odd = divmod(g.order - 2 - size - params.d, 2)
     if forced.bit_count() > size or odd or j < 0:
         return None
@@ -688,7 +685,7 @@ def _decomposition_witness(g: Graph, subset: tuple[int, ...], smask: int,
                            edge: Edge, variant: str, need: int) -> DecompositionWitness:
     uv_mask = (1 << edge[0]) | (1 << edge[1])
     rest = _engine.full_mask(g) & ~smask
-    comps = _engine.component_split(_engine.adjacency_masks(g), rest)
+    comps = _engine.component_split(g.adjacency, rest)
     odd_comps = tuple(tuple(_engine.bits_of(c)) for c in comps if c != uv_mask)
     inner = next(_matchings_in_mask(g.edges, smask, need))[0]
     return DecompositionWitness(subset, edge, variant, odd_comps, inner)
@@ -715,7 +712,6 @@ def _scan_decomposition_witness(
     edge, variant, need, size = _decomposition_query(g, params, edge, variant, cap)
     d = params.d
     others = [w for w in range(g.order) if w not in edge]
-    adj = _engine.adjacency_masks(g)
     full = _engine.full_mask(g)
     uv_mask = (1 << edge[0]) | (1 << edge[1])
 
@@ -724,7 +720,7 @@ def _scan_decomposition_witness(
 
     for subset in combinations(others, size):
         smask = _engine.mask_of(subset)
-        comps = _engine.component_split(adj, full & ~smask)
+        comps = _engine.component_split(g.adjacency, full & ~smask)
         if len(comps) != d + 1 or uv_mask not in comps:
             continue
         if all(c.bit_count() & 1 and is_factor_critical(induced(c))

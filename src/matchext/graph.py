@@ -7,6 +7,7 @@ value; instances are safe to share between threads or processes.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
 
 from .errors import GraphConstructionError
@@ -18,17 +19,24 @@ class Graph:
     """A simple undirected graph, normalized and immutable after construction.
 
     ``edges`` is a sorted tuple of ``(u, v)`` pairs with ``u < v``; each edge
-    is stored exactly once.  Construction rejects self-loops, duplicate
-    edges, and out-of-range endpoints, naming the offending pair.
+    is stored exactly once.  ``adjacency[v]`` is v's bitmask row: bit w is
+    set when vw is an edge.  Construction rejects self-loops, duplicate edges, out-of-range or
+    non-integer endpoints and pairs that are not two ids, naming the
+    offending pair.
     """
 
     def __init__(self, order: int, edges: Iterable[Edge] = ()):
         if order < 0:
             raise GraphConstructionError(f"order must be non-negative, got {order}")
-        adj: list[set[int]] = [set() for _ in range(order)]
+        rows = [0] * order
         normalized: list[Edge] = []
         for pair in edges:
-            u, v = pair
+            try:
+                u, v = map(operator.index, pair)
+            except (TypeError, ValueError):
+                raise GraphConstructionError(
+                    f"an edge is a pair of vertex ids, got {pair!r}"
+                ) from None
             if not (0 <= u < order and 0 <= v < order):
                 raise GraphConstructionError(
                     f"edge ({u}, {v}) references a vertex outside 0..{order - 1}"
@@ -37,14 +45,14 @@ class Graph:
                 raise GraphConstructionError(f"self-loop ({u}, {v}) is not allowed")
             if u > v:
                 u, v = v, u
-            if v in adj[u]:
+            if rows[u] >> v & 1:
                 raise GraphConstructionError(f"duplicate edge ({u}, {v})")
-            adj[u].add(v)
-            adj[v].add(u)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
             normalized.append((u, v))
         self.order: int = order
         self.edges: tuple[Edge, ...] = tuple(sorted(normalized))
-        self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self.adjacency: tuple[int, ...] = tuple(rows)
         self._cache: dict = {}
 
     # -- queries ---------------------------------------------------------
@@ -53,13 +61,14 @@ class Graph:
         return range(self.order)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adj[v]
+        row = self.adjacency[v]
+        return frozenset(w for w in range(row.bit_length()) if row >> w & 1)
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self.adjacency[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return 0 <= u < self.order and v in self._adj[u]
+        return 0 <= u < self.order and 0 <= v < self.order and bool(self.adjacency[u] >> v & 1)
 
     @property
     def edge_count(self) -> int:

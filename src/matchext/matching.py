@@ -55,8 +55,7 @@ class Matching:
 def maximum_matching(g: Graph) -> Matching:
     """A maximum matching of ``g``, found by augmenting-path search with
     odd-cycle shrinking (correct on non-bipartite graphs).  Deterministic."""
-    adj = [sorted(g.neighbors(v)) for v in range(g.order)]
-    mate = _engine.max_matching_pairs(g.order, adj)
+    mate = _engine.max_matching_pairs(g.order, [_engine.bits_of(row) for row in g.adjacency])
     return Matching((v, mate[v]) for v in range(g.order) if mate[v] > v)
 
 
@@ -125,10 +124,10 @@ def _berge_blocker(g: Graph, mask: int, d: int) -> tuple[int, ...] | None:
     vertices = _engine.bits_of(mask)
     order = g.order
     if order > _engine.TABLE_LIMIT:
-        adj = _engine.adjacency_masks(g)
         for size in range(len(vertices) + 1):
             for subset in combinations(vertices, size):
-                if _engine.odd_component_count(adj, mask & ~_engine.mask_of(subset)) > size + d:
+                rest = mask & ~_engine.mask_of(subset)
+                if _engine.odd_component_count(g.adjacency, rest) > size + d:
                     return subset
         return None
     digits = _engine.odd_digits(g)

@@ -43,8 +43,7 @@ class ComponentProfile:
 
 def components(g: Graph) -> ComponentProfile:
     """Connected components of ``g`` in deterministic order."""
-    adj = _engine.adjacency_masks(g)
-    masks = _engine.component_split(adj, _engine.full_mask(g))
+    masks = _engine.component_split(g.adjacency, _engine.full_mask(g))
     return ComponentProfile(tuple(tuple(_engine.bits_of(m)) for m in masks))
 
 
@@ -54,17 +53,15 @@ def odd_count_after_deletion(g: Graph, members: Iterable[int]) -> int:
     for v in drop:
         if not 0 <= v < g.order:
             raise ParameterError(f"vertex {v} is outside 0..{g.order - 1}")
-    adj = _engine.adjacency_masks(g)
     rest = _engine.full_mask(g) & ~_engine.mask_of(drop)
-    return _engine.odd_component_count(adj, rest)
+    return _engine.odd_component_count(g.adjacency, rest)
 
 
 def is_connected(g: Graph) -> bool:
     if g.order == 0:
         return False
-    adj = _engine.adjacency_masks(g)
     full = _engine.full_mask(g)
-    return _engine.spread(adj, 1, full) == full
+    return _engine.spread(g.adjacency, 1, full) == full
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -81,7 +78,7 @@ def _two_colorable(g: Graph) -> bool:
         stack = [start]
         while stack:
             v = stack.pop()
-            for u in g.neighbors(v):
+            for u in _engine.bits_of(g.adjacency[v]):
                 if color[u] == -1:
                     color[u] = color[v] ^ 1
                     stack.append(u)

@@ -460,8 +460,8 @@ def test_definition_verdict_reads_only_the_matching_table(monkeypatch):
     got = is_nkd_by_definition(hubs, NkdParams(2, 1, 1))
     assert got == Verdict(False, NoKMatching(deleted=(0, 1)))
     # the verdict and the NoKMatching witness read the planes only
-    assert set(g._cache) == {"adj_masks", "nu_planes"}
-    assert set(hubs._cache) == {"adj_masks", "nu_planes"}
+    assert set(g._cache) == {"nu_planes"}
+    assert set(hubs._cache) == {"nu_planes"}
     with pytest.raises(AssertionError, match="other than nu"):
         is_nkd_by_definition(g, NkdParams(2, 1, 0))
 
@@ -699,12 +699,12 @@ def test_separator_search_reads_only_the_matching_planes(monkeypatch):
     # the rest of a 2-set separator has 4 vertices, so d = 2 asks level 1
     w = find_decomposition_witness(h, NkdParams(2, 1, 2), (6, 7), "d1")
     assert w is not None and w.separator == (0, 1)
-    assert set(h._cache) == {"adj_masks", "nu_planes", ("critical", 1)}
+    assert set(h._cache) == {"nu_planes", ("critical", 1)}
     # the forced set {2, ..., 5} of edge 0-1 outgrows the separator size 2,
     # so the search answers before building any table
     g = complete(6)
     assert find_decomposition_witness(g, NkdParams(2, 1, 0), (0, 1), "d1") is None
-    assert set(g._cache) == {"adj_masks"}
+    assert g._cache == {}
 
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])

@@ -30,7 +30,7 @@ def test_fixture_odd_tables_match_flood_fill(fixture, request):
     for g in _graphs(fixture, request):
         # a fresh graph per case keeps the tables off the session fixtures
         g = Graph(g.order, g.edges)
-        adj = _engine.adjacency_masks(g)
+        adj = g.adjacency
         odd = _engine.odd_table(g)
         for m in range(1 << g.order):
             assert odd[m] == _engine.odd_component_count(adj, m), (g, m)
@@ -43,7 +43,7 @@ def test_odd_table_matches_flood_fill(chunk, monkeypatch, request):
     monkeypatch.setattr(_engine, "_CHUNK", chunk)
     for g in _graphs("orders0to16", request):
         g = Graph(g.order, g.edges)
-        adj = _engine.adjacency_masks(g)
+        adj = g.adjacency
         got = _engine.odd_table(g)
         assert type(got) is list and len(got) == 1 << g.order, g
         assert got == [_engine.odd_component_count(adj, m) for m in range(1 << g.order)], g
@@ -54,7 +54,7 @@ def test_odd_table_refuses_before_building(monkeypatch):
         raise AssertionError("built part of a table past the limit")
 
     monkeypatch.setattr(_engine, "TABLE_LIMIT", 5)
-    for name in ("adjacency_masks", "component_split", "_odd_digits"):
+    for name in ("component_split", "_odd_digits"):
         monkeypatch.setattr(_engine, name, build)
     g = cycle(6)
     with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
@@ -81,7 +81,7 @@ def test_check_at_order_14_builds_no_component_table(monkeypatch, capsys):
 def _nu_by_every_neighbour(g):
     """The matching table by the plain subset DP: the lowest vertex is
     unmatched or matched to whichever in-mask neighbour does best."""
-    adj = _engine.adjacency_masks(g)
+    adj = g.adjacency
     table = [0] * (1 << g.order)
     for mask in range(1, 1 << g.order):
         low = mask & -mask
@@ -107,7 +107,6 @@ def test_nu_table_refuses_before_allocating(monkeypatch):
         raise AssertionError("built part of a table past the limit")
 
     monkeypatch.setattr(_engine, "TABLE_LIMIT", 5)
-    monkeypatch.setattr(_engine, "adjacency_masks", allocate)
     monkeypatch.setattr(_engine, "_nu_planes", allocate)
     g = cycle(6)
     with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from matchext import Graph, GraphConstructionError, build
@@ -28,6 +30,13 @@ def test_build_rejects_out_of_range():
         Graph(0, [(0, 0)])
 
 
+@pytest.mark.parametrize("pair", [(0, 1.0), (0, "1"), (None, 1), (0, 1, 2), (0,), 5],
+                         ids=["float", "str", "none", "triple", "single", "not-a-pair"])
+def test_build_rejects_a_pair_that_is_not_two_ids(pair):
+    with pytest.raises(GraphConstructionError, match=re.escape(repr(pair))):
+        Graph(3, [pair])
+
+
 def test_queries():
     g = cycle(4)
     assert g.neighbors(0) == frozenset({1, 3})
@@ -35,6 +44,7 @@ def test_queries():
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert not g.has_edge(0, 2)
     assert not g.has_edge(-1, 0)
+    assert not g.has_edge(0, -1) and not g.has_edge(0, g.order)
     assert g.edge_count == 4
 
 
