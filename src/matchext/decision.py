@@ -331,15 +331,16 @@ def _derived(g: Graph, method: str, *args) -> Graph:
     ``"bound_rows"`` beside the exact rows, which the host builds from its
     own planes only when the bound is inconclusive."""
 
-    def build():
+    key = ("derived", method) + args
+    host = g._cache.get(key)
+    if host is None:
         host = getattr(g, method)(*args)
         if method == "cone":
             host._cache["char_summary"] = _plane_rows(host.order, *_cone_planes(host, g))
         else:
             host._cache["bound_rows"] = _edge_bound(g, method, args)
-        return host
-
-    return _engine.cached(g, ("derived", method) + args, build)
+        g._cache[key] = host
+    return host
 
 
 def _cone_planes(h: Graph, parent: Graph) -> tuple[list[int], list[int]]:
@@ -400,14 +401,19 @@ def _edge_bound(parent: Graph, method: str, args: tuple) -> list[list[int]]:
 def _bridge_plane(g: Graph, u: int, v: int) -> int:
     """B, the masks R holding u and v in which uv is a bridge of G[R]
     between two odd parts: in G[R] - uv, u is not joined to v and both
-    parts are odd.  A part's parity is the XOR of its joined planes
-    (:func:`_joined_planes`), grown over the edges of G - uv.  Both sides
-    are always needed, as B always holds the mask {u, v}."""
+    parts are odd.  v's part is read from its joined planes
+    (:func:`_joined_planes`), grown over the edges of G - uv: u lies outside
+    it when ``~J_v[u]`` and it is odd on the XOR of the planes.  Once the
+    two parts are apart, u's component in G[R] is their union, so both are
+    odd exactly when v's part is odd and that component is even.  u's
+    component parity in G is the XOR of one sweep from u over G's own
+    edges, cached on G as ``("parity", u)`` for every edge at u."""
     uv = (min(u, v), max(u, v))
-    edges = [e for e in g.edges if e != uv]
-    from_v, from_u = (_joined_planes(g.order, edges, source) for source in (v, u))
-    # v's parity plane holds only masks with v, u's only masks with u
-    return ~from_v[u] & reduce(operator.xor, from_v) & reduce(operator.xor, from_u)
+    from_v = _joined_planes(g.order, [e for e in g.edges if e != uv], v)
+    parity = _engine.cached(
+        g, ("parity", u), lambda: reduce(operator.xor, _joined_planes(g.order, g.edges, u)))
+    holding = _engine.vertex_planes(g.order)[u]
+    return holding & ~from_v[u] & reduce(operator.xor, from_v) & ~parity
 
 
 def _joined_planes(order: int, edges: list[Edge], source: int) -> list[int]:
@@ -455,11 +461,18 @@ def nkd_holds(g: Graph, params: NkdParams, cap: int | None = None) -> bool:
     already validated on this graph.  The cap is checked on every call.
     """
     _check_cap(g, cap, DECIDER_CAP, "decider")
-    key = ("nkd", params.n, params.k, params.d)
+    if ("nkd", params.n, params.k, params.d) not in g._cache:
+        validate_params(g, params)
+    return _holds(g, params.n, params.k, params.d)
+
+
+def _holds(g: Graph, n: int, k: int, d: int) -> bool:
+    """:func:`nkd_holds` without the cap check or any validation, for a
+    triple known to be valid on ``g``: the rule runner's host targets."""
+    key = ("nkd", n, k, d)
     holds = g._cache.get(key)
     if holds is None:
-        validate_params(g, params)
-        holds = g._cache[key] = _characterization_holds(g, params.n, params.k, params.d)
+        holds = g._cache[key] = _characterization_holds(g, n, k, d)
     return holds
 
 
@@ -635,9 +648,18 @@ def find_decomposition_witness(
     exactly r - 2j factor-critical components.
     """
     edge, variant, need, size = _decomposition_query(g, params, edge, variant, cap)
+    return _separator_witness(g, params.d, edge, variant, need, size)
+
+
+def _separator_witness(g: Graph, d: int, edge: Edge, variant: str, need: int,
+                       size: int) -> DecompositionWitness | None:
+    """The search of :func:`find_decomposition_witness` for a query it has
+    validated (``edge`` in increasing order, ``need`` and ``size`` as
+    :func:`_decomposition_query` returns them), with no cap check: the rule
+    runner checks the search cap once per instance."""
     uv_mask = (1 << edge[0]) | (1 << edge[1])
     forced = (g.adjacency[edge[0]] | g.adjacency[edge[1]]) & ~uv_mask
-    j, odd = divmod(g.order - 2 - size - params.d, 2)
+    j, odd = divmod(g.order - 2 - size - d, 2)
     if forced.bit_count() > size or odd or j < 0:
         return None
     critical, matched = _critical_plane(g, j), _matching_plane(g, need)
@@ -677,8 +699,13 @@ def _decomposition_query(g: Graph, params: NkdParams, edge: Edge, variant: str,
         raise ParameterError(f"an edge is a pair of vertex ids, got {edge!r}") from None
     if not g.has_edge(u, v):
         raise ParameterError(f"({u}, {v}) is not an edge of the graph")
-    need = k if variant == "d1" else k - 1
-    return (min(u, v), max(u, v)), variant, need, n - 2 + 2 * k
+    return ((min(u, v), max(u, v)), variant) + _separator_sizes(n, k, variant)
+
+
+def _separator_sizes(n: int, k: int, variant: str) -> tuple[int, int]:
+    """(need, size) of a separator query: the matching size the separator
+    must hold, k for "d1" and k - 1 for "d3", and its order n - 2 + 2k."""
+    return (k if variant == "d1" else k - 1), n - 2 + 2 * k
 
 
 def _decomposition_witness(g: Graph, subset: tuple[int, ...], smask: int,

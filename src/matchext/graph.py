@@ -7,6 +7,7 @@ value; instances are safe to share between threads or processes.
 
 from __future__ import annotations
 
+import bisect
 import operator
 from collections.abc import Iterable
 
@@ -130,7 +131,10 @@ class Graph:
             u, v = v, u
         if self.has_edge(u, v):
             raise GraphConstructionError(f"edge ({u}, {v}) is already present")
-        return Graph(self.order, self.edges + ((u, v),))
+        e = (operator.index(u), operator.index(v))
+        at = bisect.bisect(self.edges, e)
+        return self._edited(self.order, self.edges[:at] + (e,) + self.edges[at:],
+                            self._flipped(*e))
 
     def delete_edge(self, u: int, v: int) -> Graph:
         """New graph with the edge ``uv`` removed; ``uv`` must be present."""
@@ -139,14 +143,34 @@ class Graph:
                 f"edge ({min(u, v)}, {max(u, v)}) is not present"
             )
         e = (min(u, v), max(u, v))
-        return Graph(self.order, tuple(x for x in self.edges if x != e))
+        at = self.edges.index(e)
+        return self._edited(self.order, self.edges[:at] + self.edges[at + 1:],
+                            self._flipped(operator.index(u), operator.index(v)))
 
     def cone(self) -> Graph:
         """Add one new vertex (id ``order``) adjacent to every vertex."""
         apex = self.order
-        return Graph(
-            apex + 1, self.edges + tuple((v, apex) for v in range(self.order))
+        bit = 1 << apex
+        return self._edited(
+            apex + 1,
+            tuple(sorted(self.edges + tuple((v, apex) for v in range(apex)))),
+            tuple(row | bit for row in self.adjacency) + (bit - 1,),
         )
+
+    def _flipped(self, u: int, v: int) -> tuple[int, ...]:
+        """The rows with edge uv toggled: one bit in row u and one in row v."""
+        rows = list(self.adjacency)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        return tuple(rows)
+
+    @classmethod
+    def _edited(cls, order: int, edges: tuple[Edge, ...], rows: tuple[int, ...]) -> Graph:
+        """A graph from fields already normalized by an edit of a valid
+        graph, so no edge is validated again."""
+        g = cls.__new__(cls)
+        g.order, g.edges, g.adjacency, g._cache = order, edges, rows, {}
+        return g
 
 
 def build(order: int, edge_list: Iterable[Edge]) -> Graph:

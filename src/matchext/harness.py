@@ -26,11 +26,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .decision import (
+    DECIDER_CAP,
     NkdParams,
     WITNESS_SEARCH_CAP,
+    _check_cap,
     _derived,
+    _holds,
     _scan_decomposition_witness,
-    find_decomposition_witness,
+    _separator_sizes,
+    _separator_witness,
     is_nkd_by_characterization,
     nkd_holds,
 )
@@ -128,9 +132,10 @@ def _deleted_edges(dn: int, dk: int, degree_bound=None):
 
     def hosts(g: Graph, p: NkdParams):
         target = NkdParams(p.n - dn, p.k - dk, p.d)
+        rows = g.adjacency
         bound = 0 if degree_bound is None else degree_bound(p)
         for u, v in g.edges:
-            if max(g.degree(u), g.degree(v)) >= bound:
+            if rows[u].bit_count() >= bound or rows[v].bit_count() >= bound:
                 yield f"edge {u}-{v}", _derived(g, "delete_edge", u, v), target, (u, v)
 
     return hosts
@@ -206,10 +211,15 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: in
     ``cap``; when it is None it is decided here first, and that is the
     instance's only validation of its triple, so an invalid triple raises
     before any precondition runs.  An unmet precondition is still the
-    reason recorded, ahead of ``not-an-nkd-graph``.  A violation is decided
-    again on freshly built graphs, which carry no caches, and its separator
-    side by the subset scan, so a wrong separator search cannot confirm its
-    own answer."""
+    reason recorded, ahead of ``not-an-nkd-graph``.
+
+    Every host target is valid when the triple is and the preconditions
+    pass, and every edge comes from the graph, so hosts are decided by
+    :func:`_holds` and searched by :func:`_separator_witness`, unvalidated.
+    Each host's decider cap is still checked, and the search cap once,
+    after the first host's.  A violation is decided again on freshly built
+    graphs, which carry no caches, and its separator side by the subset
+    scan, so a wrong separator search cannot confirm its own answer."""
     if holds is None:
         holds = nkd_holds(g, p, cap=cap)
     rule = RULES[tid]
@@ -225,9 +235,13 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: in
     def violation(context: str, detail: str) -> None:
         rep.violations.append(Violation(graph_index, write_graph6(g), p.as_tuple(), context, detail))
 
-    for context, host, target, edge in rule.hosts(g, p):
-        if rule.variant is None:
-            if nkd_holds(host, target, cap=cap):
+    def host_holds(host: Graph, target: NkdParams) -> bool:
+        _check_cap(host, cap, DECIDER_CAP, "decider")
+        return _holds(host, target.n, target.k, target.d)
+
+    if rule.variant is None:
+        for context, host, target, edge in rule.hosts(g, p):
+            if host_holds(host, target):
                 continue
             if is_nkd_by_characterization(Graph(host.order, host.edges), target, cap=cap).holds:
                 raise RuntimeError(
@@ -235,9 +249,13 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: in
                     f"fails, fresh decision says holds"
                 )
             violation(context, f"derived graph is not a ({target.n},{target.k},{target.d})-graph")
-            continue
-        fails = not nkd_holds(host, target, cap=cap)
-        witness = find_decomposition_witness(g, p, edge, rule.variant, cap=cap)
+        return
+    need, size = _separator_sizes(p.n, p.k, rule.variant)
+    for i, (context, host, target, edge) in enumerate(rule.hosts(g, p)):
+        fails = not host_holds(host, target)
+        if not i:
+            _check_cap(g, cap, WITNESS_SEARCH_CAP, "decomposition search")
+        witness = _separator_witness(g, p.d, edge, rule.variant, need, size)
         if fails != (witness is not None):
             fresh = Graph(g.order, g.edges)
             re_fails = not is_nkd_by_characterization(
@@ -281,6 +299,13 @@ CHECKERS = {tid: _checker(tid) for tid in RULES}
 def valid_triples(order: int) -> list[NkdParams]:
     """All (n, k, d) satisfying the size and parity rules for this order,
     sorted by (n, k, d)."""
+    return list(_valid_triples(order))
+
+
+@functools.cache
+def _valid_triples(order: int) -> tuple[NkdParams, ...]:
+    """:func:`valid_triples` as a tuple built once per order; the frozen
+    triples are shared by every graph of that order."""
     out = []
     for n in range(max(order - 1, 0)):
         for d in range(max(order - 1 - n, 0)):
@@ -289,7 +314,7 @@ def valid_triples(order: int) -> list[NkdParams]:
             for k in range((order - 2 - n - d) // 2 + 1):
                 out.append(NkdParams(n, k, d))
     out.sort(key=NkdParams.as_tuple)
-    return out
+    return tuple(out)
 
 
 @dataclass
@@ -353,7 +378,7 @@ def check_graph(g: Graph, theorems=THEOREM_IDS, cap: int | None = None,
     graph's own verdict is decided once per triple and handed to each.
     Unknown or repeated theorem ids raise ParameterError."""
     out = {tid: TheoremReport(tid, graphs_examined=1) for tid in _theorem_ids(theorems)}
-    for p in valid_triples(g.order) if out else ():
+    for p in _valid_triples(g.order) if out else ():
         holds = nkd_holds(g, p, cap=cap)
         for tid, report in out.items():
             CHECKERS[tid](g, p, cap=cap, graph_index=graph_index, report=report,

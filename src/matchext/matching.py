@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -19,14 +20,23 @@ SUBSET_SEARCH_CAP = 20
 class Matching:
     """A set of pairwise vertex-disjoint edges.
 
-    Edges are normalized to ``u < v`` and sorted.  Disjointness is enforced
-    at construction; membership in a host graph via :meth:`validate`.
+    Edges are normalized to ``u < v`` and sorted.  Endpoints are read as
+    integer ids (``operator.index``, as :class:`Graph` reads them) and
+    disjointness is enforced at construction, both raising ValueError;
+    membership in a host graph via :meth:`validate`.
     """
 
     edges: tuple[Edge, ...]
 
     def __init__(self, edges=()):
-        normalized = sorted(tuple(sorted(e)) for e in edges)
+        normalized = []
+        for pair in edges:
+            try:
+                u, v = map(operator.index, pair)
+            except (TypeError, ValueError):
+                raise ValueError(f"a matching edge is a pair of vertex ids, got {pair!r}") from None
+            normalized.append((u, v) if u < v else (v, u))
+        normalized.sort()
         seen: set[int] = set()
         for u, v in normalized:
             if u == v:

@@ -1,5 +1,7 @@
 import random
+from functools import reduce
 from itertools import combinations
+from operator import xor
 
 import pytest
 
@@ -797,6 +799,32 @@ def test_edge_bound_matches_the_list_fold(fixture, request):
             assert rows == _fold_summary(*pair), (g, edit)
             nkd_holds(h, valid_triples(h.order)[-1])
         assert not {"nu_table", "odd_table"} & set(parent._cache), g
+
+
+def _two_sweep_bridge_plane(g, u, v):
+    """The bridge plane with both parts grown from their own end over the
+    edges of G - uv: u outside v's part, and both parts' parity odd."""
+    uv = (min(u, v), max(u, v))
+    edges = [e for e in g.edges if e != uv]
+    from_v, from_u = (decision._joined_planes(g.order, edges, source) for source in (v, u))
+    return ~from_v[u] & reduce(xor, from_v) & reduce(xor, from_u)
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample", "order17"])
+def test_bridge_plane_matches_the_two_sweep_formula(fixture, request):
+    # the one-sweep plane reads u's side from the parent's cached parity of
+    # u's component; it must equal the two-sweep plane on every edge, read
+    # from either end
+    if fixture == "order17":
+        graphs = [family_cliques_plus_edge(3, 2), family_gadget_chain(3)]
+        assert {g.order for g in graphs} == {17}
+    else:
+        graphs = request.getfixturevalue(fixture)
+    for g in graphs:
+        parent = Graph(g.order, g.edges)
+        for u, v in parent.edges:
+            for a, b in ((u, v), (v, u)):
+                assert decision._bridge_plane(parent, a, b) == _two_sweep_bridge_plane(g, a, b), (g, a, b)
 
 
 @pytest.mark.parametrize("code, method, edge, triple, holds", [

@@ -1,4 +1,5 @@
 import re
+from itertools import combinations
 
 import pytest
 
@@ -104,6 +105,63 @@ def test_cone():
     assert coned.order == g.order + 1
     assert coned.edge_count == g.edge_count + g.order
     assert coned.degree(g.order) == g.order
+
+
+def _fields(g):
+    return g.order, g.edges, g.adjacency
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
+def test_edited_graphs_equal_fresh_builds(fixture, request):
+    # an edit flips two bits of the parent's rows, or adds the apex row, and
+    # must give the fields a fresh construction of the edited edge list gives
+    for g in request.getfixturevalue(fixture):
+        coned = g.cone()
+        apex = g.order
+        assert _fields(coned) == _fields(Graph(apex + 1, g.edges + tuple((v, apex) for v in range(apex))))
+        for u, v in combinations(range(g.order), 2):
+            if g.has_edge(u, v):
+                rest = [e for e in g.edges if e != (u, v)]
+                for a, b in ((u, v), (v, u)):
+                    assert _fields(g.delete_edge(a, b)) == _fields(Graph(g.order, rest)), (g, a, b)
+            else:
+                for a, b in ((u, v), (v, u)):
+                    edited = g.add_edge(a, b)
+                    assert _fields(edited) == _fields(Graph(g.order, g.edges + ((u, v),))), (g, a, b)
+                    assert edited._cache == {} and edited._cache is not g._cache
+
+
+def test_edits_read_endpoints_as_integer_ids():
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    assert g.add_edge(True, 3).edges == ((0, 1), (1, 2), (1, 3), (2, 3))
+    assert all(type(x) is int for edge in g.add_edge(True, 3).edges for x in edge)
+    assert _fields(g.delete_edge(True, 2)) == _fields(Graph(4, [(0, 1), (2, 3)]))
+
+
+@pytest.mark.parametrize("method, u, v, error, message", [
+    ("add_edge", 0, 0, GraphConstructionError, "cannot add edge (0, 0)"),
+    ("add_edge", 0, 4, GraphConstructionError, "cannot add edge (0, 4)"),
+    ("add_edge", -1, 2, GraphConstructionError, "cannot add edge (-1, 2)"),
+    ("add_edge", 1, 0, GraphConstructionError, "edge (0, 1) is already present"),
+    ("add_edge", 2, 1, GraphConstructionError, "edge (1, 2) is already present"),
+    ("add_edge", 0, 2.0, TypeError, None),
+    ("add_edge", "0", 2, TypeError, None),
+    ("delete_edge", 0, 2, GraphConstructionError, "edge (0, 2) is not present"),
+    ("delete_edge", 2, 0, GraphConstructionError, "edge (0, 2) is not present"),
+    ("delete_edge", 0, 9, GraphConstructionError, "edge (0, 9) is not present"),
+    ("delete_edge", -1, 0, GraphConstructionError, "edge (-1, 0) is not present"),
+    ("delete_edge", 1, 1, GraphConstructionError, "edge (1, 1) is not present"),
+    ("delete_edge", 1.0, 0, TypeError, None),
+    ("delete_edge", None, 1, TypeError, None),
+])
+def test_invalid_edits_raise_before_building(method, u, v, error, message):
+    # the messages of the edits that rebuilt the whole edge list; a
+    # non-integer id fails in the membership test, before any row is read
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(error) as info:
+        getattr(g, method)(u, v)
+    if message is not None:
+        assert str(info.value) == message
 
 
 def test_derived_graphs_are_new_values():

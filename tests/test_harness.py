@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +26,7 @@ from matchext import (
     nkd_holds,
     run_census,
     valid_triples,
+    validate_params,
     write_graph6,
 )
 from matchext.harness import (
@@ -183,18 +185,26 @@ def test_check_a6_pair():
 
 def _force_order7_not_100(monkeypatch, recheck_too: bool) -> None:
     """Force the cached decider to say an order-7 graph is not a
-    (1,0,0)-graph; with ``recheck_too`` the fresh recheck says so as well."""
-    real = harness.nkd_holds
+    (1,0,0)-graph, both for the graph's own verdict and for the hosts'
+    unvalidated one; with ``recheck_too`` the fresh recheck says so as
+    well."""
+    real, real_host = harness.nkd_holds, harness._holds
 
     def lying(g, q, cap=None):
         if q == NkdParams(1, 0, 0) and g.order == 7:
             return False
         return real(g, q, cap=cap)
 
+    def lying_host(g, n, k, d):
+        if (n, k, d) == (1, 0, 0) and g.order == 7:
+            return False
+        return real_host(g, n, k, d)
+
     class LyingVerdict:
         holds = False
 
     monkeypatch.setattr(harness, "nkd_holds", lying)
+    monkeypatch.setattr(harness, "_holds", lying_host)
     if recheck_too:
         monkeypatch.setattr(
             harness, "is_nkd_by_characterization", lambda g, q, cap=None: LyingVerdict()
@@ -235,10 +245,11 @@ def test_violation_names_the_graph_by_its_canonical_graph6(monkeypatch, line):
 
 def test_deletion_iff_recheck_and_reporting(monkeypatch):
     # K6 is a (2,1,0)-graph and every edge deletion keeps (0,1,0); force the
-    # separator lookup to claim a decomposition for every edge
+    # separator search, which the runner calls unvalidated, to claim a
+    # decomposition for every edge
     h = complete(6)
     fake = object()
-    monkeypatch.setattr(harness, "find_decomposition_witness", lambda *a, **k: fake)
+    monkeypatch.setattr(harness, "_separator_witness", lambda *a, **k: fake)
     with pytest.raises(RuntimeError, match="at edge 0-1 of graph 0: cached and fresh"):
         check_D1(h, NkdParams(2, 1, 0))
     monkeypatch.setattr(harness, "_scan_decomposition_witness", lambda *a, **k: fake)
@@ -373,6 +384,72 @@ def test_check_graph_refuses_a_lower_cap():
     with pytest.raises(SearchCapExceeded, match="decider"):
         check_A3(g, NkdParams(2, 1, 0), cap=7)
     assert check_graph(g, cap=8)["A3"].graphs_examined == 1
+
+
+def _hosts_in_scope(tid, g, p):
+    """Whether instance (g, p) of rule ``tid`` passes its preconditions and
+    names at least one host, read without the runner."""
+    rule = harness.RULES[tid]
+    return all(test(g, p) for _, test in rule.preconditions) and any(
+        True for _ in rule.hosts(g, p))
+
+
+def test_every_host_target_is_valid_on_its_host():
+    # the runner decides hosts and searches separators without validating:
+    # for every rule, order and valid triple whose preconditions pass, each
+    # target must be a valid triple on its host and each edge an edge of G.
+    # Per order, the complete graph less one edge (every edge meets a vertex
+    # of degree >= order - 2 >= 2k, so D3 has hosts) and the path
+    # (bipartite, so D2 has hosts) each have an edge and a non-edge from
+    # order 3; at order 2 they are the empty graph and K2
+    checked = dict.fromkeys(harness.THEOREM_IDS, 0)
+    for order in range(2, 15):
+        near_complete = Graph(order, [e for e in combinations(range(order), 2) if e != (0, 1)])
+        for g in (near_complete, Graph(order, [(v, v + 1) for v in range(order - 1)])):
+            for p in valid_triples(order):
+                for tid, rule in harness.RULES.items():
+                    if not all(test(g, p) for _, test in rule.preconditions):
+                        continue
+                    for context, host, target, edge in rule.hosts(g, p):
+                        validate_params(host, target)
+                        assert host.order == g.order + (context == "cone"), context
+                        if rule.variant is not None:
+                            assert g.has_edge(*edge), context
+                        checked[tid] += 1
+    assert all(checked.values()), checked
+
+
+def test_edge_rules_refuse_at_the_search_cap_exactly_where_they_have_hosts():
+    # order 15 passes the decider's default cap of 16 but not the search's
+    # 14: an instance refuses, naming the search, once it is applicable and
+    # has an edge in scope, and otherwise reports as it did without a search
+    refused = {"D1": 0, "D3": 0}
+    reported = {"D1": 0, "D3": 0}
+    for g in (complete(15), cycle(15)):
+        for p in valid_triples(15):
+            for tid, check in (("D1", check_D1), ("D3", check_D3)):
+                if _hosts_in_scope(tid, g, p) and nkd_holds(g, p):
+                    with pytest.raises(SearchCapExceeded, match="decomposition search"):
+                        check(g, p)
+                    refused[tid] += 1
+                else:
+                    rep = check(g, p)
+                    assert rep.passed and rep.graphs_examined == 1
+                    reported[tid] += 1
+    assert all(refused.values()) and all(reported.values())
+    # an applicable D3 instance with no edge in scope: every degree is 2 < 2k
+    assert check_D3(cycle(15), NkdParams(1, 2, 6)).applicable == 1
+
+
+def test_cone_host_keeps_the_decider_cap():
+    # C1's host has one vertex more than G, so a cap of G's order admits G
+    # and refuses the cone
+    g = complete(6)
+    p = NkdParams(2, 1, 0)
+    assert nkd_holds(g, p, cap=g.order)
+    with pytest.raises(SearchCapExceeded, match="decider"):
+        check_C1(g, p, cap=g.order)
+    assert check_C1(g, p, cap=g.order + 1).applicable == 1
 
 
 def test_check_graph_sweeps_all_triples():

@@ -59,6 +59,18 @@ def test_matching_rejects_overlap():
         Matching([(1, 1)])
 
 
+@pytest.mark.parametrize("pair", [(0, 1.0), ("a", "b"), (0,), (0, 1, 2), None])
+def test_matching_rejects_non_integer_endpoints(pair):
+    # rejected at construction, so validate never meets such an edge
+    with pytest.raises(ValueError, match="a matching edge is a pair of vertex ids"):
+        Matching([pair])
+
+
+def test_matching_reads_endpoints_as_integer_ids():
+    assert Matching([(True, 2)]).edges == ((1, 2),)
+    assert type(Matching([(True, 2)]).edges[0][0]) is int
+
+
 def test_matching_validate_membership():
     m = Matching([(0, 1)])
     m.validate(path(3))
