@@ -97,11 +97,11 @@ def odd_component_count(adj: tuple[int, ...], mask: int) -> int:
     return sum(1 for c in component_split(adj, mask) if c.bit_count() & 1)
 
 
-def _require_table(g: Graph):
-    if g.order > TABLE_LIMIT:
+def _require_table(order: int):
+    if order > TABLE_LIMIT:
         raise SearchCapExceeded(
             f"exhaustive subset tables are limited to {TABLE_LIMIT} vertices, "
-            f"graph has {g.order}"
+            f"graph has {order}"
         )
 
 
@@ -222,7 +222,7 @@ def nu_planes(g: Graph) -> list[int]:
     """
 
     def build():
-        _require_table(g)
+        _require_table(g.order)
         return _nu_planes(g.adjacency, g.order)
 
     return cached(g, "nu_planes", build)
@@ -274,7 +274,7 @@ def odd_digits(g: Graph) -> list[int]:
     """
 
     def build():
-        _require_table(g)
+        _require_table(g.order)
         adj = g.adjacency
         low = min(g.order, _CHUNK.bit_length() - 1)
         chunks = [_odd_digits(adj, low, component_split(adj, start))

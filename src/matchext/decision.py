@@ -163,12 +163,12 @@ def _edges(edges) -> str:
 # -- deciders ----------------------------------------------------------------
 
 
-def _check_cap(g: Graph, cap: int | None, default: int, what: str) -> None:
+def _check_cap(order: int, cap: int | None, default: int, what: str) -> None:
     limit = default if cap is None else cap
-    if g.order > limit:
+    if order > limit:
         raise SearchCapExceeded(
             f"the exhaustive {what} is capped at {limit} vertices, graph has "
-            f"{g.order}; pass a larger cap to accept the cost"
+            f"{order}; pass a larger cap to accept the cost"
         )
 
 
@@ -189,7 +189,7 @@ def is_nkd_by_definition(g: Graph, params: NkdParams, cap: int | None = None) ->
     are read from the planes as well.
     """
     validate_params(g, params)
-    _check_cap(g, cap, DECIDER_CAP, "decider")
+    _check_cap(g.order, cap, DECIDER_CAP, "decider")
     short, blocked = _violating_sets(g, *params.as_tuple())
     if not short and not blocked:
         return Verdict(True)
@@ -288,8 +288,7 @@ def _char_summary(g: Graph) -> list[list[int]]:
     k-matching.
 
     The rows are exact, read from the graph's own planes
-    (:func:`_plane_rows`) without a 2^n list; a cone built by
-    :func:`_derived` carries them from the start."""
+    (:func:`_plane_rows`) without a 2^n list."""
     return _engine.cached(
         g, "char_summary", lambda: _plane_rows(g.order, _engine.nu_planes(g), _engine.odd_digits(g)))
 
@@ -322,39 +321,53 @@ def _plane_rows(order: int, planes: list[int], digits: list[int]) -> list[list[i
     return rows
 
 
-def _derived(g: Graph, method: str, *args) -> Graph:
-    """``getattr(g, method)(*args)`` (``add_edge``, ``delete_edge`` or
-    ``cone``), cached on the parent so that rules and triples share it.
-    The host's rows are read from the parent's planes as it is built: the
-    cone's exact summary (:func:`_cone_planes`), kept as ``"char_summary"``,
-    and for G + uv and G - uv an upper bound (:func:`_edge_bound`), kept as
-    ``"bound_rows"`` beside the exact rows, which the host builds from its
-    own planes only when the bound is inconclusive."""
+def _edited_holds(g: Graph, edit: tuple | None, n: int, k: int, d: int) -> bool:
+    """:func:`_holds` on the host ``edit`` of ``g`` (:func:`_apply_edit`).
+    Its rows (:func:`_edit_rows`) are cached on g per edit and the verdict
+    per edit and target.  A bound never fails a target that holds, so only
+    when it does is the host built, once, cached on g and decided on its
+    exact rows."""
+    if edit is None:
+        return _holds(g, n, k, d)
+    key = (edit, n, k, d)
+    holds = g._cache.get(key)
+    if holds is None:
+        rows = _engine.cached(g, edit, lambda: _edit_rows(g, edit))
+        holds = _rows_hold(rows, n, k, d)
+        if not holds and edit[0] != "cone":
+            host = _engine.cached(g, ("host",) + edit, lambda: _apply_edit(g, edit))
+            holds = _rows_hold(_char_summary(host), n, k, d)
+        g._cache[key] = holds
+    return holds
 
-    key = ("derived", method) + args
-    host = g._cache.get(key)
-    if host is None:
-        host = getattr(g, method)(*args)
-        if method == "cone":
-            host._cache["char_summary"] = _plane_rows(host.order, *_cone_planes(host, g))
-        else:
-            host._cache["bound_rows"] = _edge_bound(g, method, args)
-        g._cache[key] = host
-    return host
+
+def _apply_edit(g: Graph, edit: tuple | None) -> Graph:
+    """The host ``edit`` of ``g``: g itself for None, else ``getattr(g,
+    method)(*args)`` for ``("add_edge", u, v)``, ``("delete_edge", u, v)``
+    or ``("cone",)``."""
+    return g if edit is None else getattr(g, edit[0])(*edit[1:])
 
 
-def _cone_planes(h: Graph, parent: Graph) -> tuple[list[int], list[int]]:
-    """The matching planes and odd-count digits of the cone ``h`` of
-    ``parent``, extended exactly from the parent's; never cached on ``h``.
-    The apex a is vertex n, so the masks holding it are the upper half.
+def _edit_rows(g: Graph, edit: tuple) -> list[list[int]]:
+    """The rows of the host ``edit`` of ``g``, read from g's planes: exact
+    for the cone, an upper bound for G + uv and G - uv."""
+    if edit[0] == "cone":
+        return _plane_rows(g.order + 1, *_cone_planes(g))
+    return _edge_bound(g, edit[0], edit[1:])
+
+
+def _cone_planes(g: Graph) -> tuple[list[int], list[int]]:
+    """The matching planes and odd-count digits of the cone of ``g``,
+    extended exactly from g's, and not cached.  The apex a is vertex n, so
+    the masks holding it are the upper half.
     ``nu[M + a]`` is ``nu[M]`` plus one when M is in E, the masks that are
     not perfectly matchable, so P'_j = P_j | (P_j | P_{j-1} & E) << 2^n.
     G[M + a] is connected, so its odd count is 1 exactly when |M| is even:
     digit 0 gains the even-size masks in the upper half, and the other
     digits are unchanged."""
-    _engine._require_table(h)
-    n = parent.order
-    planes, digits = _engine.nu_planes(parent), _engine.odd_digits(parent)
+    n = g.order
+    _engine._require_table(n + 1)
+    planes, digits = _engine.nu_planes(g), _engine.odd_digits(g)
     sizes = _engine.size_planes(n)
     everything = _engine.every_mask(n)
     perfect = sizes[0]
@@ -434,14 +447,7 @@ def _joined_planes(order: int, edges: list[Edge], source: int) -> list[int]:
 
 
 def _characterization_holds(g: Graph, n: int, k: int, d: int) -> bool:
-    """The two row tests, on an edited host's upper bound (``"bound_rows"``,
-    see :func:`_derived`) first when it has one, and on the exact rows of
-    :func:`_char_summary` unless the bound shows the target holding.  A
-    bound never fails a target that holds, so every failure is decided on
-    exact rows."""
-    bound = g._cache.get("bound_rows")
-    if bound is not None and _rows_hold(bound, n, k, d):
-        return True
+    """The two row tests on the exact rows of :func:`_char_summary`."""
     return _rows_hold(_char_summary(g), n, k, d)
 
 
@@ -460,7 +466,7 @@ def nkd_holds(g: Graph, params: NkdParams, cap: int | None = None) -> bool:
     validated on a miss only: a cached verdict exists only for a triple
     already validated on this graph.  The cap is checked on every call.
     """
-    _check_cap(g, cap, DECIDER_CAP, "decider")
+    _check_cap(g.order, cap, DECIDER_CAP, "decider")
     if ("nkd", params.n, params.k, params.d) not in g._cache:
         validate_params(g, params)
     return _holds(g, params.n, params.k, params.d)
@@ -489,7 +495,7 @@ def is_nkd_by_characterization(g: Graph, params: NkdParams, cap: int | None = No
     the least mask of their union.
     """
     validate_params(g, params)
-    _check_cap(g, cap, DECIDER_CAP, "decider")
+    _check_cap(g.order, cap, DECIDER_CAP, "decider")
     n, k, d = params.as_tuple()
     if _characterization_holds(g, n, k, d):
         return Verdict(True)
@@ -692,7 +698,7 @@ def _decomposition_query(g: Graph, params: NkdParams, edge: Edge, variant: str,
     if variant == "d3" and k < 1:
         raise ParameterError(f"the d3 search needs k >= 1, got k={k}")
     validate_params(g, params)
-    _check_cap(g, cap, WITNESS_SEARCH_CAP, "decomposition search")
+    _check_cap(g.order, cap, WITNESS_SEARCH_CAP, "decomposition search")
     try:
         u, v = map(operator.index, edge)
     except (TypeError, ValueError):
@@ -767,17 +773,24 @@ def verify_decomposition_witness(g: Graph, params: NkdParams, w: DecompositionWi
 
 def _verify_decomposition_witness(g: Graph, params: NkdParams, w: DecompositionWitness) -> bool:
     n, k, d = params.as_tuple()
-    u, v = w.edge
-    if not g.has_edge(u, v):
+    if w.variant not in ("d1", "d3"):
         return False
-    if len(w.separator) != n - 2 + 2 * k or {u, v} & set(w.separator):
+    # ids are integer vertices of g: a float or an id out of range would
+    # equal, or index, a vertex it is not
+    u, v = map(operator.index, w.edge)
+    separator = tuple(map(operator.index, w.separator))
+    claimed = [tuple(map(operator.index, c)) for c in w.odd_components]
+    if not all(0 <= x < g.order for x in separator + sum(claimed, ())) or not g.has_edge(u, v):
+        return False
+    members = set(separator)
+    if not len(members) == len(separator) == n - 2 + 2 * k or {u, v} & members:
         return False
     need = k if w.variant == "d1" else k - 1
     inner = Matching(w.separator_matching)
     inner.validate(g)
-    if len(inner) != need or not inner.vertices() <= set(w.separator):
+    if len(inner) != need or not inner.vertices() <= members:
         return False
-    sub, old_ids = g.delete_vertices(w.separator)
+    sub, old_ids = g.delete_vertices(separator)
     profile = components(sub)
     comps = [tuple(old_ids[x] for x in comp) for comp in profile]
     if tuple(sorted((u, v))) not in [tuple(sorted(c)) for c in comps if len(c) == 2]:
@@ -785,11 +798,11 @@ def _verify_decomposition_witness(g: Graph, params: NkdParams, w: DecompositionW
     odd = [c for c in comps if len(c) % 2 == 1]
     if len(comps) != d + 1 or len(odd) != d:
         return False
-    if sorted(odd) != sorted(w.odd_components):
+    if sorted(odd) != sorted(claimed):
         return False
     for comp in odd:
         piece, _ = g.induced_subgraph(comp)
         if not is_factor_critical(piece):
             return False
-    sep, _ = g.induced_subgraph(w.separator)
+    sep, _ = g.induced_subgraph(separator)
     return len(maximum_matching(sep)) >= need

@@ -7,7 +7,6 @@ value; instances are safe to share between threads or processes.
 
 from __future__ import annotations
 
-import bisect
 import operator
 from collections.abc import Iterable
 
@@ -62,11 +61,22 @@ class Graph:
         return range(self.order)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        row = self.adjacency[v]
+        row = self.adjacency[self._vertex(v)]
         return frozenset(w for w in range(row.bit_length()) if row >> w & 1)
 
     def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
+        return self.adjacency[self._vertex(v)].bit_count()
+
+    def _vertex(self, v: int) -> int:
+        """``v`` as a vertex id; one that is not an integer in 0..order-1
+        raises, naming it, where a row lookup would wrap or misread it."""
+        try:
+            v = operator.index(v)
+        except TypeError:
+            raise GraphConstructionError(f"a vertex id is an integer, got {v!r}") from None
+        if not 0 <= v < self.order:
+            raise GraphConstructionError(f"vertex {v} is outside 0..{self.order - 1}")
+        return v
 
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.order and 0 <= v < self.order and bool(self.adjacency[u] >> v & 1)
@@ -95,14 +105,14 @@ class Graph:
         old ids.  Returns ``(graph, old_ids)`` where ``old_ids[new] == old``,
         so witnesses computed on the result can be mapped back.
         """
-        drop = self._checked_set(members)
+        drop = {self._vertex(v) for v in members}
         keep = [v for v in range(self.order) if v not in drop]
         return self._induced_on(keep)
 
     def induced_subgraph(self, members: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
         """Induced subgraph on ``members``, relabeled densely (same map
         convention as :meth:`delete_vertices`)."""
-        keep = sorted(self._checked_set(members))
+        keep = sorted({self._vertex(v) for v in members})
         return self._induced_on(keep)
 
     def _induced_on(self, keep: list[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -114,15 +124,6 @@ class Graph:
         ]
         return Graph(len(keep), edges), tuple(keep)
 
-    def _checked_set(self, members: Iterable[int]) -> set[int]:
-        out = set(members)
-        for v in out:
-            if not 0 <= v < self.order:
-                raise GraphConstructionError(
-                    f"vertex {v} is outside 0..{self.order - 1}"
-                )
-        return out
-
     def add_edge(self, u: int, v: int) -> Graph:
         """New graph with the edge ``uv`` added; ``uv`` must not be present."""
         if not (0 <= u < self.order and 0 <= v < self.order) or u == v:
@@ -131,10 +132,7 @@ class Graph:
             u, v = v, u
         if self.has_edge(u, v):
             raise GraphConstructionError(f"edge ({u}, {v}) is already present")
-        e = (operator.index(u), operator.index(v))
-        at = bisect.bisect(self.edges, e)
-        return self._edited(self.order, self.edges[:at] + (e,) + self.edges[at:],
-                            self._flipped(*e))
+        return Graph(self.order, self.edges + ((u, v),))
 
     def delete_edge(self, u: int, v: int) -> Graph:
         """New graph with the edge ``uv`` removed; ``uv`` must be present."""
@@ -143,34 +141,12 @@ class Graph:
                 f"edge ({min(u, v)}, {max(u, v)}) is not present"
             )
         e = (min(u, v), max(u, v))
-        at = self.edges.index(e)
-        return self._edited(self.order, self.edges[:at] + self.edges[at + 1:],
-                            self._flipped(operator.index(u), operator.index(v)))
+        return Graph(self.order, [f for f in self.edges if f != e])
 
     def cone(self) -> Graph:
         """Add one new vertex (id ``order``) adjacent to every vertex."""
         apex = self.order
-        bit = 1 << apex
-        return self._edited(
-            apex + 1,
-            tuple(sorted(self.edges + tuple((v, apex) for v in range(apex)))),
-            tuple(row | bit for row in self.adjacency) + (bit - 1,),
-        )
-
-    def _flipped(self, u: int, v: int) -> tuple[int, ...]:
-        """The rows with edge uv toggled: one bit in row u and one in row v."""
-        rows = list(self.adjacency)
-        rows[u] ^= 1 << v
-        rows[v] ^= 1 << u
-        return tuple(rows)
-
-    @classmethod
-    def _edited(cls, order: int, edges: tuple[Edge, ...], rows: tuple[int, ...]) -> Graph:
-        """A graph from fields already normalized by an edit of a valid
-        graph, so no edge is validated again."""
-        g = cls.__new__(cls)
-        g.order, g.edges, g.adjacency, g._cache = order, edges, rows, {}
-        return g
+        return Graph(apex + 1, self.edges + tuple((v, apex) for v in range(apex)))
 
 
 def build(order: int, edge_list: Iterable[Edge]) -> Graph:

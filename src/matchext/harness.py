@@ -1,19 +1,19 @@
 """Executable checkers for the recursive parameter rules, run over censuses.
 
 Every rule is one :class:`Rule` spec in the ``RULES`` table: its ordered
-preconditions, the host graphs it speaks about (the same graph with lowered
-or shifted parameters, each graph with one edge added or deleted, or the
-cone) with a target triple for each, and, for the two edge-deletion iff
-rules D1/D3, the separator-decomposition variant.  One runner,
-:func:`_run_rule`, rejects an invalid triple with ParameterError, classifies
-a valid instance as applicable or inapplicable (recording the first unmet
-precondition by name, then ``not-an-nkd-graph``) and checks the conclusion
-on every host; a violation is re-checked from scratch on freshly built
-graphs before being reported.  ``CHECKERS`` maps each id to ``check_<id>``,
-which adds one instance into the report it is given (or a fresh one-graph
-report).  The census gives each rule one report per graph, which every
-valid triple adds into, decides the graph's own verdict once per triple for
-all rules, and merges those reports in stream order.
+preconditions, the hosts it speaks about as edits of the graph (the graph
+itself with lowered or shifted parameters, the graph with one edge added or
+deleted, or the cone) with a target triple for each, and, for the two
+edge-deletion iff rules D1/D3, the separator-decomposition variant.  One
+runner, :func:`_run_rule`, rejects an invalid triple with ParameterError,
+classifies a valid instance as applicable or inapplicable (recording the
+first unmet precondition by name, then ``not-an-nkd-graph``) and checks the
+conclusion on every host; a violation is re-checked from scratch on freshly
+built graphs before being reported.  ``CHECKERS`` maps each id to
+``check_<id>``, which adds one instance into the report it is given (or a
+fresh one-graph report).  The census gives each rule one report per graph,
+which every valid triple adds into, decides the graph's own verdict once
+per triple for all rules, and merges those reports in stream order.
 """
 
 from __future__ import annotations
@@ -25,13 +25,14 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable
 
+from . import _engine
 from .decision import (
     DECIDER_CAP,
     NkdParams,
     WITNESS_SEARCH_CAP,
+    _apply_edit,
     _check_cap,
-    _derived,
-    _holds,
+    _edited_holds,
     _scan_decomposition_witness,
     _separator_sizes,
     _separator_witness,
@@ -105,12 +106,12 @@ class TheoremReport:
 def _lowered(g: Graph, p: NkdParams):
     for n2 in range(p.n % 2, p.n + 1, 2):
         for k2 in range(p.k + 1):
-            yield f"lowered params ({n2},{k2},{p.d})", g, NkdParams(n2, k2, p.d), None
+            yield f"lowered params ({n2},{k2},{p.d})", None, NkdParams(n2, k2, p.d), None
 
 
 def _shifted(g: Graph, p: NkdParams):
     target = NkdParams(p.n + 2, p.k - 2, p.d)
-    yield f"shifted params ({target.n},{target.k},{target.d})", g, target, None
+    yield f"shifted params ({target.n},{target.k},{target.d})", None, target, None
 
 
 def _added_edges(g: Graph, p: NkdParams):
@@ -118,11 +119,11 @@ def _added_edges(g: Graph, p: NkdParams):
     for u in range(g.order):
         for v in range(u + 1, g.order):
             if not g.has_edge(u, v):
-                yield f"non-edge {u}-{v}", _derived(g, "add_edge", u, v), target, (u, v)
+                yield f"non-edge {u}-{v}", ("add_edge", u, v), target, (u, v)
 
 
 def _cone(g: Graph, p: NkdParams):
-    yield "cone", _derived(g, "cone"), NkdParams(p.n + 1, p.k - 1, p.d), None
+    yield "cone", ("cone",), NkdParams(p.n + 1, p.k - 1, p.d), None
 
 
 def _deleted_edges(dn: int, dk: int, degree_bound=None):
@@ -136,7 +137,7 @@ def _deleted_edges(dn: int, dk: int, degree_bound=None):
         bound = 0 if degree_bound is None else degree_bound(p)
         for u, v in g.edges:
             if rows[u].bit_count() >= bound or rows[v].bit_count() >= bound:
-                yield f"edge {u}-{v}", _derived(g, "delete_edge", u, v), target, (u, v)
+                yield f"edge {u}-{v}", ("delete_edge", u, v), target, (u, v)
 
     return hosts
 
@@ -147,10 +148,12 @@ class Rule:
 
     ``preconditions`` are (reason, test(g, p)) pairs tried in order; the
     first failing test names the skip reason.  ``hosts(g, p)`` yields
-    (context, host graph, target triple, edge) for every graph the rule
-    speaks about.  Without a ``variant`` each host must satisfy its target;
-    with one ("d1" or "d3") the target fails on G - edge exactly when a
-    separator decomposition of that variant exists for the edge.
+    (context, edit, target triple, edge) for every graph the rule speaks
+    about, as an edit of g: None for g itself, ``("add_edge", u, v)``,
+    ``("delete_edge", u, v)`` or ``("cone",)``.  Without a ``variant`` each
+    host must satisfy its target; with one ("d1" or "d3") the target fails
+    on G - edge exactly when a separator decomposition of that variant
+    exists for the edge.
     """
 
     doc: str
@@ -214,12 +217,17 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: in
     reason recorded, ahead of ``not-an-nkd-graph``.
 
     Every host target is valid when the triple is and the preconditions
-    pass, and every edge comes from the graph, so hosts are decided by
-    :func:`_holds` and searched by :func:`_separator_witness`, unvalidated.
-    Each host's decider cap is still checked, and the search cap once,
-    after the first host's.  A violation is decided again on freshly built
-    graphs, which carry no caches, and its separator side by the subset
-    scan, so a wrong separator search cannot confirm its own answer."""
+    pass, and every edge comes from the graph, so hosts are decided as
+    edits of g by :func:`_edited_holds` and searched by
+    :func:`_separator_witness`, unvalidated.  The graph's own verdict
+    passed the decider cap, and so does every host of its order, so the
+    cap is checked again only on the cone, after the table limit that its
+    rows meet first; the search cap is checked once, after the first host
+    is decided.  A
+    violation is decided again on a host rebuilt by the same edit of a
+    freshly built copy of g, which carries no caches, and its separator
+    side by the subset scan, so a wrong separator search cannot confirm its
+    own answer."""
     if holds is None:
         holds = nkd_holds(g, p, cap=cap)
     rule = RULES[tid]
@@ -235,15 +243,18 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: in
     def violation(context: str, detail: str) -> None:
         rep.violations.append(Violation(graph_index, write_graph6(g), p.as_tuple(), context, detail))
 
-    def host_holds(host: Graph, target: NkdParams) -> bool:
-        _check_cap(host, cap, DECIDER_CAP, "decider")
-        return _holds(host, target.n, target.k, target.d)
+    def host_holds(edit, target: NkdParams) -> bool:
+        if edit == ("cone",):
+            _engine._require_table(g.order + 1)
+            _check_cap(g.order + 1, cap, DECIDER_CAP, "decider")
+        return _edited_holds(g, edit, target.n, target.k, target.d)
 
     if rule.variant is None:
-        for context, host, target, edge in rule.hosts(g, p):
-            if host_holds(host, target):
+        for context, edit, target, edge in rule.hosts(g, p):
+            if host_holds(edit, target):
                 continue
-            if is_nkd_by_characterization(Graph(host.order, host.edges), target, cap=cap).holds:
+            fresh = _apply_edit(Graph(g.order, g.edges), edit)
+            if is_nkd_by_characterization(fresh, target, cap=cap).holds:
                 raise RuntimeError(
                     f"non-reproducible violation at {context}: cached decision said "
                     f"fails, fresh decision says holds"
@@ -251,16 +262,14 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: in
             violation(context, f"derived graph is not a ({target.n},{target.k},{target.d})-graph")
         return
     need, size = _separator_sizes(p.n, p.k, rule.variant)
-    for i, (context, host, target, edge) in enumerate(rule.hosts(g, p)):
-        fails = not host_holds(host, target)
+    for i, (context, edit, target, edge) in enumerate(rule.hosts(g, p)):
+        fails = not host_holds(edit, target)
         if not i:
-            _check_cap(g, cap, WITNESS_SEARCH_CAP, "decomposition search")
+            _check_cap(g.order, cap, WITNESS_SEARCH_CAP, "decomposition search")
         witness = _separator_witness(g, p.d, edge, rule.variant, need, size)
         if fails != (witness is not None):
             fresh = Graph(g.order, g.edges)
-            re_fails = not is_nkd_by_characterization(
-                fresh.delete_edge(*edge), target, cap=cap
-            ).holds
+            re_fails = not is_nkd_by_characterization(_apply_edit(fresh, edit), target, cap=cap).holds
             re_witness = _scan_decomposition_witness(fresh, p, edge, rule.variant, cap=cap)
             if re_fails != fails or (re_witness is None) != (witness is None):
                 raise RuntimeError(

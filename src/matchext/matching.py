@@ -11,8 +11,8 @@ from . import _engine
 from .errors import ParameterError, SearchCapExceeded
 from .graph import Edge, Graph
 
-#: berge_violating_set enumerates every vertex subset; 2^20 is the default
-#: practical limit.
+#: berge_violating_set's default order cap: it reads odd-count planes up to
+#: ``_engine.TABLE_LIMIT`` and flood fills every vertex subset above it.
 SUBSET_SEARCH_CAP = 20
 
 
@@ -107,8 +107,9 @@ def berge_violating_set(
 
     Subsets are tried in increasing size, lexicographically within a size,
     and the first violator is returned; note the empty set is a possible
-    answer, distinct from None.  Enumeration is exhaustive, hence the order
-    cap (default 20, overridable by passing ``cap`` explicitly).
+    answer, distinct from None.  The search is exhaustive, over 2^n-bit
+    planes (:func:`_berge_blocker`), hence the order cap (default 20,
+    overridable by passing ``cap`` explicitly).
     """
     _check_defect(g, d)
     limit = SUBSET_SEARCH_CAP if cap is None else cap

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from functools import reduce
 from itertools import combinations
@@ -37,7 +38,8 @@ from matchext.decision import (
     _char_summary,
     _characterization_holds,
     _cone_planes,
-    _derived,
+    _edit_rows,
+    _edited_holds,
     _scan_decomposition_witness,
 )
 from matchext.matching import _matchings_in_mask
@@ -284,6 +286,28 @@ def test_every_decomposition_witness_reverifies():
     assert found > 10
 
 
+@pytest.mark.parametrize("family, triple, variant, change", [
+    (family_cliques_plus_edge_cone, (3, 1, 2), "d3", {"variant": "banana"}),
+    (family_cliques_plus_edge_cone, (3, 1, 2), "d3", {"variant": None}),
+    (family_cliques_plus_edge_cone, (3, 1, 2), "d3", {"variant": 3}),
+    (family_cliques_plus_edge_cone, (3, 1, 2), "d3", {"variant": "D3"}),
+    (family_cliques_plus_edge, (2, 1, 2), "d1", {"separator": (0, 1.0)}),
+    (family_cliques_plus_edge, (2, 1, 2), "d1", {"separator": (0, 0)}),
+    (family_cliques_plus_edge, (2, 1, 2), "d1", {"separator": (0, -7)}),
+    (family_cliques_plus_edge, (2, 1, 2), "d1", {"odd_components": ((2.0,), (3, 4, 5))}),
+    (family_cliques_plus_edge, (2, 1, 2), "d1", {"odd_components": ((-6,), (3, 4, 5))}),
+    (family_cliques_plus_edge, (2, 1, 2), "d1", {"edge": (6.0, 7)}),
+])
+def test_decomposition_witness_with_a_foreign_variant_or_id_is_rejected(
+        family, triple, variant, change):
+    # the witness of edge 6-7 verifies; with a variant that is neither "d1"
+    # nor "d3", or an id that is not a vertex of the graph, it must not
+    g, p = family(2, 1), NkdParams(*triple)
+    w = find_decomposition_witness(g, p, (6, 7), variant)
+    assert verify_decomposition_witness(g, p, w)
+    assert not verify_decomposition_witness(g, p, dataclasses.replace(w, **change))
+
+
 def test_decider_equivalence_random_spot():
     for g in random_sample(40, [6, 7], seed=3):
         for p in valid_triples(g.order):
@@ -523,9 +547,9 @@ def test_plane_rows_match_the_list_fold(fixture, request):
     # extended from its parent's, each against the fold on a fresh copy
     for g in _plane_fixture(fixture, request):
         parent = Graph(g.order, g.edges)
-        for h in (parent, _derived(parent, "cone")):
+        for h, rows in ((parent, _char_summary(parent)), (parent.cone(), _edit_rows(parent, ("cone",)))):
             fresh = Graph(h.order, h.edges)
-            assert _char_summary(h) == _fold_summary(fresh, fresh), (g, h.order)
+            assert rows == _fold_summary(fresh, fresh), (g, h.order)
 
 
 def _scan_violating_sets(g, n, k, d):
@@ -741,8 +765,8 @@ def test_separator_search_matches_the_scan_above_the_census_cap(family, witnesse
 
 
 def _edits(g):
-    """Every derived graph a census asks about: the cone, each G - uv and
-    each G + uv."""
+    """Every edit of g whose host a census asks about: the cone, each G - uv
+    and each G + uv."""
     yield ("cone",)
     for u, v in g.edges:
         yield ("delete_edge", u, v)
@@ -753,27 +777,29 @@ def _edits(g):
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
 def test_derived_summary_matches_fresh(fixture, request):
-    # the host's summary against a fresh copy's, before any decision; every
-    # valid triple decided on the host against the copy; then the cone's
-    # planes extended from the parent's and the upper bound of G + uv and
-    # G - uv against the copy's summary.  A fresh parent per graph keeps
-    # the shared fixtures' caches free of hosts
+    # the host an edit builds against a fresh copy's summary, before any
+    # decision; every valid triple decided as an edit of the parent against
+    # the copy; then the cone's planes extended from the parent's, its
+    # rows equal to the copy's summary, and the upper bound of G + uv and
+    # G - uv above it.  A fresh parent per graph keeps the shared fixtures'
+    # caches free of hosts
     triples = {order: valid_triples(order) for order in range(1, 10)}
     for g in request.getfixturevalue(fixture):
         parent = Graph(g.order, g.edges)
         for edit in _edits(parent):
-            h = _derived(parent, *edit)
+            h = getattr(parent, edit[0])(*edit[1:])
             fresh = Graph(h.order, h.edges)
             exact = _char_summary(fresh)
             assert _char_summary(h) == exact, (g, edit)
             params = triples[h.order]
-            decided = [nkd_holds(h, p) for p in params]
+            decided = [_edited_holds(parent, edit, *p.as_tuple()) for p in params]
             want = [_characterization_holds(fresh, *p.as_tuple()) for p in params]
             assert decided == want, (g, edit)
+            rows = parent._cache[edit]
             if edit[0] == "cone":
-                planes = _cone_planes(h, parent)
+                planes = _cone_planes(parent)
                 assert planes == (_engine.nu_planes(fresh), _engine.odd_digits(fresh)), (g, edit)
-            rows = h._cache.get("bound_rows", exact)
+                assert rows == exact, (g, edit)
             assert len(rows) >= len(exact), (g, edit)
             for row, exact_row in zip(rows, exact):
                 assert all(map(int.__ge__, row, exact_row)), (g, edit)
@@ -792,12 +818,11 @@ def test_edge_bound_matches_the_list_fold(fixture, request):
         for edit in _edits(parent):
             if edit[0] == "cone":
                 continue
-            h = _derived(parent, *edit)
-            rows = h._cache["bound_rows"]
-            fresh = Graph(h.order, h.edges)
+            _edited_holds(parent, edit, *valid_triples(g.order)[-1].as_tuple())
+            rows = parent._cache[edit]
+            fresh = getattr(base, edit[0])(*edit[1:])
             pair = (fresh, base) if edit[0] == "add_edge" else (base, fresh)
             assert rows == _fold_summary(*pair), (g, edit)
-            nkd_holds(h, valid_triples(h.order)[-1])
         assert not {"nu_table", "odd_table"} & set(parent._cache), g
 
 
@@ -834,18 +859,22 @@ def test_bridge_plane_matches_the_two_sweep_formula(fixture, request):
 ])
 def test_inconclusive_bound_is_decided_exactly(code, method, edge, triple, holds):
     # hosts whose upper bound does not show the target holding: the answer
-    # comes from the exact rows, built beside the bound, and the host still
-    # keeps no lists
-    h = _derived(read_graph6(code), method, *edge)
+    # comes from the exact rows of a host built once for the purpose, and
+    # the host still keeps no lists
+    g, edit = read_graph6(code), (method, *edge)
     p = NkdParams(*triple)
-    bound = h._cache["bound_rows"]
-    assert "char_summary" not in h._cache
-    fresh = Graph(h.order, h.edges)
+    assert ("host",) + edit not in g._cache
+    fresh = getattr(Graph(g.order, g.edges), method)(*edge)
     assert is_nkd_by_definition(fresh, p).holds is holds
-    assert nkd_holds(h, p) is holds
-    assert h._cache["bound_rows"] is bound
+    assert _edited_holds(g, edit, *triple) is holds
+    bound = g._cache[edit]
+    assert bound == decision._edge_bound(g, method, edge)
+    assert not decision._rows_hold(bound, *triple)
+    h = g._cache[("host",) + edit]
     assert h._cache["char_summary"] == _char_summary(fresh) != bound
     assert not {"nu_table", "odd_table"} & set(h._cache)
+    assert _edited_holds(g, edit, *triple) is holds
+    assert g._cache[edit] is bound and g._cache[("host",) + edit] is h
 
 
 def test_decomposition_witness_kv_lines():

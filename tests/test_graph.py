@@ -73,6 +73,36 @@ def test_delete_vertices_out_of_range():
         complete(4).delete_vertices({9})
 
 
+@pytest.mark.parametrize("method", ["delete_vertices", "induced_subgraph"])
+@pytest.mark.parametrize("member, message", [
+    (0.5, "a vertex id is an integer, got 0.5"),
+    (1.0, "a vertex id is an integer, got 1.0"),
+    ("1", "a vertex id is an integer, got '1'"),
+    (-1, "vertex -1 is outside 0..3"),
+    (4, "vertex 4 is outside 0..3"),
+])
+def test_vertex_sets_reject_ids_that_are_not_vertices(method, member, message):
+    # a float equal to a vertex would match it in a set, and one that is
+    # not would drop out silently; either way the set names no vertex
+    with pytest.raises(GraphConstructionError) as info:
+        getattr(complete(4), method)([0, member])
+    assert str(info.value) == message
+
+
+def test_vertex_sets_read_ids_as_integers():
+    g, old_ids = complete(4).delete_vertices([True])
+    assert g == complete(3) and old_ids == (0, 2, 3)
+    assert all(type(v) is int for v in old_ids)
+
+
+@pytest.mark.parametrize("method", ["degree", "neighbors"])
+@pytest.mark.parametrize("v", [-1, -4, 4])
+def test_rows_reject_ids_outside_the_graph(method, v):
+    # a negative id must not wrap around to the last vertex's row
+    with pytest.raises(GraphConstructionError, match=f"vertex {v} is outside 0..3"):
+        getattr(cycle(4), method)(v)
+
+
 def test_induced_subgraph():
     g, old_ids = complete(5).induced_subgraph({1, 3, 4})
     assert g == complete(3)
@@ -113,8 +143,8 @@ def _fields(g):
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
 def test_edited_graphs_equal_fresh_builds(fixture, request):
-    # an edit flips two bits of the parent's rows, or adds the apex row, and
-    # must give the fields a fresh construction of the edited edge list gives
+    # an edit must give the fields a fresh construction of the edited edge
+    # list gives, whichever way round its endpoints are named
     for g in request.getfixturevalue(fixture):
         coned = g.cone()
         apex = g.order

@@ -9,6 +9,7 @@ from itertools import combinations
 import pytest
 
 import matchext._engine as _engine
+import matchext.decision as decision
 import matchext.harness as harness
 import matchext.structure as structure
 from matchext import (
@@ -188,23 +189,23 @@ def _force_order7_not_100(monkeypatch, recheck_too: bool) -> None:
     (1,0,0)-graph, both for the graph's own verdict and for the hosts'
     unvalidated one; with ``recheck_too`` the fresh recheck says so as
     well."""
-    real, real_host = harness.nkd_holds, harness._holds
+    real, real_host = harness.nkd_holds, harness._edited_holds
 
     def lying(g, q, cap=None):
         if q == NkdParams(1, 0, 0) and g.order == 7:
             return False
         return real(g, q, cap=cap)
 
-    def lying_host(g, n, k, d):
-        if (n, k, d) == (1, 0, 0) and g.order == 7:
+    def lying_host(g, edit, n, k, d):
+        if (n, k, d) == (1, 0, 0) and g.order == 7 and edit is None:
             return False
-        return real_host(g, n, k, d)
+        return real_host(g, edit, n, k, d)
 
     class LyingVerdict:
         holds = False
 
     monkeypatch.setattr(harness, "nkd_holds", lying)
-    monkeypatch.setattr(harness, "_holds", lying_host)
+    monkeypatch.setattr(harness, "_edited_holds", lying_host)
     if recheck_too:
         monkeypatch.setattr(
             harness, "is_nkd_by_characterization", lambda g, q, cap=None: LyingVerdict()
@@ -410,7 +411,8 @@ def test_every_host_target_is_valid_on_its_host():
                 for tid, rule in harness.RULES.items():
                     if not all(test(g, p) for _, test in rule.preconditions):
                         continue
-                    for context, host, target, edge in rule.hosts(g, p):
+                    for context, edit, target, edge in rule.hosts(g, p):
+                        host = g if edit is None else getattr(g, edit[0])(*edit[1:])
                         validate_params(host, target)
                         assert host.order == g.order + (context == "cone"), context
                         if rule.variant is not None:
@@ -495,23 +497,82 @@ def test_check_c1_builds_no_cone_when_inapplicable():
     g = cycle(6)
     rep = check_C1(g, NkdParams(2, 1, 0))
     assert rep.inapplicable == {"not-an-nkd-graph": 1}
-    assert ("derived", "cone") not in g._cache
+    assert not _cone_keys(g)
+
+
+def _cone_keys(g):
+    """The keys under which g caches anything about its cone: its rows,
+    its verdicts and a built cone."""
+    return [key for key in g._cache
+            if isinstance(key, tuple) and ("cone",) in (key, key[0], key[1:])]
 
 
 def test_derived_hosts_keep_no_tables_or_parent_links():
     graphs = [cycle(6), complete(5), family_cliques_plus_edge(2, 1),
               disconnected_sample(20, seed=7)[0]]
+    built = 0
     for g in graphs:
         check_graph(g)
+        edits = [key for key in g._cache if isinstance(key, tuple)
+                 and key[:1] in (("add_edge",), ("delete_edge",), ("cone",))]
+        assert edits, g
         hosts = [h for key, h in g._cache.items()
-                 if isinstance(key, tuple) and key[0] == "derived"]
-        assert hosts, g
+                 if isinstance(key, tuple) and key[0] == "host"]
+        # every edit's rows were read from the parent's planes: the cone's
+        # exact summary, the edited hosts' bound; a host was built only to
+        # read its exact rows
+        assert all(g._cache[edit] and g._cache[edit][0] for edit in edits), g
         for h in hosts:
-            # the rows were read from the parent's planes as the host was
-            # built: the cone's exact summary, the edited hosts' bound
-            assert ("char_summary" if h.order > g.order else "bound_rows") in h._cache
+            assert h.order == g.order and "char_summary" in h._cache
             assert not {"nu_table", "odd_table"} & set(h._cache)
             assert not any(value is g for value in h._cache.values())
+        built += len(hosts)
+    assert built
+
+
+def _inconclusive_edits(g):
+    """The edits of g whose bound, read afresh from g's planes, fails some
+    target that a rule asks about on an applicable instance: every G + uv
+    and G - uv whose host the runner must build.  The cone's rows are
+    exact, so no cone is among them."""
+    parent, bounds, out = Graph(g.order, g.edges), {}, set()
+    for p in valid_triples(g.order):
+        if not nkd_holds(parent, p):
+            continue
+        for rule in harness.RULES.values():
+            if not all(test(parent, p) for _, test in rule.preconditions):
+                continue
+            for _, edit, target, _ in rule.hosts(parent, p):
+                if edit is None or edit == ("cone",):
+                    continue
+                if edit not in bounds:
+                    bounds[edit] = decision._edge_bound(parent, edit[0], edit[1:])
+                if not decision._rows_hold(bounds[edit], *target.as_tuple()):
+                    out.add(edit)
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000"])
+def test_hosts_are_built_once_per_inconclusive_edit(fixture, request, monkeypatch):
+    # a census decides each host as an edit of the graph and builds the
+    # host graph only when the edit's bound cannot show a target holding,
+    # then once, however many rules and triples ask about it
+    graphs = [Graph(g.order, g.edges) for g in request.getfixturevalue(fixture)]
+    want = [_inconclusive_edits(g) for g in graphs]
+    calls = []
+    for method in ("add_edge", "delete_edge", "cone"):
+        def counting(self, *args, _real=getattr(Graph, method), _method=method):
+            calls.append((self, (_method,) + args))
+            return _real(self, *args)
+
+        monkeypatch.setattr(Graph, method, counting)
+    for g, edits in zip(graphs, want):
+        calls.clear()
+        assert all(rep.passed for rep in check_graph(g).values()), g
+        assert all(parent is g for parent, _ in calls), g
+        built = [edit for _, edit in calls]
+        assert sorted(built) == sorted(edits), g
+    assert any(want)
 
 
 def test_checked_graph_is_freed_without_the_cycle_collector():
@@ -531,8 +592,14 @@ def test_derived_summary_respects_table_limit(monkeypatch):
     monkeypatch.setattr(_engine, "TABLE_LIMIT", 5)
     assert not nkd_holds(g, NkdParams(1, 1, 0))
     with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
-        harness._derived(g, "cone")
-    assert ("derived", "cone") not in g._cache
+        harness._edited_holds(g, ("cone",), 2, 0, 0)
+    assert not _cone_keys(g)
+    # in the runner the cone's rows meet the table limit before its
+    # decider cap, which a cap of G's order would also refuse
+    h = complete(5)
+    with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
+        check_C1(h, NkdParams(1, 1, 0), cap=h.order)
+    assert not _cone_keys(h)
 
 
 def test_run_census_small_stream_all_theorems():
