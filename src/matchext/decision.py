@@ -321,39 +321,46 @@ def _plane_rows(order: int, planes: list[int], digits: list[int]) -> list[list[i
     return rows
 
 
-def _edited_holds(g: Graph, edit: tuple | None, n: int, k: int, d: int) -> bool:
+def _edited_holds(g: Graph, edit: tuple | None, n: int, k: int, d: int,
+                  cap: int | None = None) -> bool:
     """:func:`_holds` on the host ``edit`` of ``g`` (:func:`_apply_edit`).
-    Its rows (:func:`_edit_rows`) are cached on g per edit and the verdict
-    per edit and target.  A bound never fails a target that holds, so only
-    when it does is the host built, once, cached on g and decided on its
-    exact rows."""
+    Its rows, read from g's planes, exact for the cone and an upper bound
+    for G + uv and G - uv, are cached on g per edit and the verdict per
+    edit and target.  A bound never fails a target that holds, so only when
+    it does is the host built, once, cached on g and decided on its exact
+    rows.  Only the cone outgrows g, so on each call it alone is checked,
+    against the table limit that its rows meet first, then the decider cap."""
     if edit is None:
         return _holds(g, n, k, d)
+    cone = edit[0] == "cone"
+    if cone:
+        _engine._require_table(g.order + 1)
+        _check_cap(g.order + 1, cap, DECIDER_CAP, "decider")
     key = (edit, n, k, d)
     holds = g._cache.get(key)
     if holds is None:
-        rows = _engine.cached(g, edit, lambda: _edit_rows(g, edit))
+        rows = _engine.cached(g, edit, lambda: _plane_rows(g.order + 1, *_cone_planes(g))
+                              if cone else _edge_bound(g, edit[0], edit[1:]))
         holds = _rows_hold(rows, n, k, d)
-        if not holds and edit[0] != "cone":
+        if not holds and not cone:
             host = _engine.cached(g, ("host",) + edit, lambda: _apply_edit(g, edit))
             holds = _rows_hold(_char_summary(host), n, k, d)
         g._cache[key] = holds
     return holds
 
 
+def _require_cone_table(max_order: int) -> None:
+    """Refuse a census max order whose graphs' cones would pass the table limit."""
+    if max_order + 1 > _engine.TABLE_LIMIT:
+        raise SearchCapExceeded(
+            f"census max order {max_order} exceeds {_engine.TABLE_LIMIT - 1}: the cone of a "
+            f"graph of that order passes the table limit of {_engine.TABLE_LIMIT} vertices")
+
+
 def _apply_edit(g: Graph, edit: tuple | None) -> Graph:
-    """The host ``edit`` of ``g``: g itself for None, else ``getattr(g,
-    method)(*args)`` for ``("add_edge", u, v)``, ``("delete_edge", u, v)``
-    or ``("cone",)``."""
+    """The host ``edit`` of ``g``: g itself for None, else ``g.add_edge(u,
+    v)``, ``g.delete_edge(u, v)`` or ``g.cone()`` for ``(method, *args)``."""
     return g if edit is None else getattr(g, edit[0])(*edit[1:])
-
-
-def _edit_rows(g: Graph, edit: tuple) -> list[list[int]]:
-    """The rows of the host ``edit`` of ``g``, read from g's planes: exact
-    for the cone, an upper bound for G + uv and G - uv."""
-    if edit[0] == "cone":
-        return _plane_rows(g.order + 1, *_cone_planes(g))
-    return _edge_bound(g, edit[0], edit[1:])
 
 
 def _cone_planes(g: Graph) -> tuple[list[int], list[int]]:
@@ -366,7 +373,6 @@ def _cone_planes(g: Graph) -> tuple[list[int], list[int]]:
     digit 0 gains the even-size masks in the upper half, and the other
     digits are unchanged."""
     n = g.order
-    _engine._require_table(n + 1)
     planes, digits = _engine.nu_planes(g), _engine.odd_digits(g)
     sizes = _engine.size_planes(n)
     everything = _engine.every_mask(n)
@@ -446,11 +452,6 @@ def _joined_planes(order: int, edges: list[Edge], source: int) -> list[int]:
             return joined
 
 
-def _characterization_holds(g: Graph, n: int, k: int, d: int) -> bool:
-    """The two row tests on the exact rows of :func:`_char_summary`."""
-    return _rows_hold(_char_summary(g), n, k, d)
-
-
 def _rows_hold(rows: list[list[int]], n: int, k: int, d: int) -> bool:
     """Condition "i" on row 0 from size n, and condition "ii" on row k from
     size n + 2k; past the last row no subset has a k-matching."""
@@ -478,7 +479,7 @@ def _holds(g: Graph, n: int, k: int, d: int) -> bool:
     key = ("nkd", n, k, d)
     holds = g._cache.get(key)
     if holds is None:
-        holds = g._cache[key] = _characterization_holds(g, n, k, d)
+        holds = g._cache[key] = _rows_hold(_char_summary(g), n, k, d)
     return holds
 
 
@@ -497,9 +498,9 @@ def is_nkd_by_characterization(g: Graph, params: NkdParams, cap: int | None = No
     validate_params(g, params)
     _check_cap(g.order, cap, DECIDER_CAP, "decider")
     n, k, d = params.as_tuple()
-    if _characterization_holds(g, n, k, d):
-        return Verdict(True)
     rows = _char_summary(g)
+    if _rows_hold(rows, n, k, d):
+        return Verdict(True)
     size = next(s for s in range(n, g.order + 1) if rows[0][s] > d - n or (
         s >= n + 2 * k and k < len(rows) and rows[k][s] > d - n - 2 * k))
     order = g.order
@@ -653,19 +654,20 @@ def find_decomposition_witness(
     level j = (r - d) / 2 (:func:`_critical_plane`), whose masks split into
     exactly r - 2j factor-critical components.
     """
-    edge, variant, need, size = _decomposition_query(g, params, edge, variant, cap)
-    return _separator_witness(g, params.d, edge, variant, need, size)
+    edge, variant = _decomposition_query(g, params, edge, variant, cap)
+    return _separator_witness(g, params, edge, variant, cap)
 
 
-def _separator_witness(g: Graph, d: int, edge: Edge, variant: str, need: int,
-                       size: int) -> DecompositionWitness | None:
-    """The search of :func:`find_decomposition_witness` for a query it has
-    validated (``edge`` in increasing order, ``need`` and ``size`` as
-    :func:`_decomposition_query` returns them), with no cap check: the rule
-    runner checks the search cap once per instance."""
+def _separator_witness(g: Graph, params: NkdParams, edge: Edge, variant: str,
+                       cap: int | None = None) -> DecompositionWitness | None:
+    """The search of :func:`find_decomposition_witness` for a query known
+    to be valid (``edge`` an edge of g in increasing order, ``variant``
+    lower-case), checking only the search cap, on every call."""
+    _check_cap(g.order, cap, WITNESS_SEARCH_CAP, "decomposition search")
+    need, size = _separator_sizes(params.n, params.k, variant)
     uv_mask = (1 << edge[0]) | (1 << edge[1])
     forced = (g.adjacency[edge[0]] | g.adjacency[edge[1]]) & ~uv_mask
-    j, odd = divmod(g.order - 2 - size - d, 2)
+    j, odd = divmod(g.order - 2 - size - params.d, 2)
     if forced.bit_count() > size or odd or j < 0:
         return None
     critical, matched = _critical_plane(g, j), _matching_plane(g, need)
@@ -684,11 +686,9 @@ def _separator_witness(g: Graph, d: int, edge: Edge, variant: str, need: int,
 
 
 def _decomposition_query(g: Graph, params: NkdParams, edge: Edge, variant: str,
-                         cap: int | None) -> tuple[Edge, str, int, int]:
-    """Validate a separator query; returns (edge, variant, need, size) with
-    the edge's endpoints in increasing order, the variant lower-cased,
-    ``need`` the matching size the separator must hold and ``size`` its
-    order."""
+                         cap: int | None) -> tuple[Edge, str]:
+    """Validate a separator query; returns (edge, variant) with the edge's
+    endpoints in increasing order and the variant lower-cased."""
     if not isinstance(variant, str) or variant.lower() not in ("d1", "d3"):
         raise ParameterError(f"variant must be 'd1' or 'd3', got {variant!r}")
     variant = variant.lower()
@@ -705,7 +705,7 @@ def _decomposition_query(g: Graph, params: NkdParams, edge: Edge, variant: str,
         raise ParameterError(f"an edge is a pair of vertex ids, got {edge!r}") from None
     if not g.has_edge(u, v):
         raise ParameterError(f"({u}, {v}) is not an edge of the graph")
-    return ((min(u, v), max(u, v)), variant) + _separator_sizes(n, k, variant)
+    return (min(u, v), max(u, v)), variant
 
 
 def _separator_sizes(n: int, k: int, variant: str) -> tuple[int, int]:
@@ -742,8 +742,8 @@ def _scan_decomposition_witness(
     while the subset's own induced subgraph holds the required matching
     (:func:`maximum_matching`).
     """
-    edge, variant, need, size = _decomposition_query(g, params, edge, variant, cap)
-    d = params.d
+    edge, variant = _decomposition_query(g, params, edge, variant, cap)
+    need, size = _separator_sizes(params.n, params.k, variant)
     others = [w for w in range(g.order) if w not in edge]
     full = _engine.full_mask(g)
     uv_mask = (1 << edge[0]) | (1 << edge[1])
@@ -754,7 +754,7 @@ def _scan_decomposition_witness(
     for subset in combinations(others, size):
         smask = _engine.mask_of(subset)
         comps = _engine.component_split(g.adjacency, full & ~smask)
-        if len(comps) != d + 1 or uv_mask not in comps:
+        if len(comps) != params.d + 1 or uv_mask not in comps:
             continue
         if all(c.bit_count() & 1 and is_factor_critical(induced(c))
                for c in comps if c != uv_mask) and len(maximum_matching(induced(smask))) >= need:

@@ -1,19 +1,17 @@
 """Executable checkers for the recursive parameter rules, run over censuses.
 
 Every rule is one :class:`Rule` spec in the ``RULES`` table: its ordered
-preconditions, the hosts it speaks about as edits of the graph (the graph
-itself with lowered or shifted parameters, the graph with one edge added or
-deleted, or the cone) with a target triple for each, and, for the two
-edge-deletion iff rules D1/D3, the separator-decomposition variant.  One
-runner, :func:`_run_rule`, rejects an invalid triple with ParameterError,
-classifies a valid instance as applicable or inapplicable (recording the
-first unmet precondition by name, then ``not-an-nkd-graph``) and checks the
-conclusion on every host; a violation is re-checked from scratch on freshly
-built graphs before being reported.  ``CHECKERS`` maps each id to
-``check_<id>``, which adds one instance into the report it is given (or a
-fresh one-graph report).  The census gives each rule one report per graph,
-which every valid triple adds into, decides the graph's own verdict once
-per triple for all rules, and merges those reports in stream order.
+preconditions, the (edit, target) pairs it speaks about (the graph itself
+with lowered or shifted parameters, the graph with one edge added or
+deleted, or the cone, each with a target triple) and, for the two
+edge-deletion iff rules D1/D3, the separator-decomposition variant.
+``CHECKERS`` maps each id to ``check_<id>``, one loop over those pairs
+(see :func:`_checker`) that adds one instance into the report it is given
+(or a fresh one-graph report); :mod:`decision` makes every check on a host.
+A violation is re-checked on freshly built graphs, and only then is its
+context named.  The census gives each rule one report per graph, which
+every valid triple adds into, decides the graph's own verdict once per
+triple for all rules, and merges those reports in stream order.
 """
 
 from __future__ import annotations
@@ -25,16 +23,13 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import _engine
 from .decision import (
-    DECIDER_CAP,
     NkdParams,
     WITNESS_SEARCH_CAP,
     _apply_edit,
-    _check_cap,
     _edited_holds,
+    _require_cone_table,
     _scan_decomposition_witness,
-    _separator_sizes,
     _separator_witness,
     is_nkd_by_characterization,
     nkd_holds,
@@ -58,13 +53,7 @@ class Violation:
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "graph_index": self.graph_index,
-            "graph6": self.graph6,
-            "params": list(self.params),
-            "context": self.context,
-            "detail": self.detail,
-        }
+        return {**vars(self), "params": list(self.params)}
 
 
 @dataclass
@@ -106,12 +95,11 @@ class TheoremReport:
 def _lowered(g: Graph, p: NkdParams):
     for n2 in range(p.n % 2, p.n + 1, 2):
         for k2 in range(p.k + 1):
-            yield f"lowered params ({n2},{k2},{p.d})", None, NkdParams(n2, k2, p.d), None
+            yield None, NkdParams(n2, k2, p.d)
 
 
 def _shifted(g: Graph, p: NkdParams):
-    target = NkdParams(p.n + 2, p.k - 2, p.d)
-    yield f"shifted params ({target.n},{target.k},{target.d})", None, target, None
+    yield None, NkdParams(p.n + 2, p.k - 2, p.d)
 
 
 def _added_edges(g: Graph, p: NkdParams):
@@ -119,11 +107,11 @@ def _added_edges(g: Graph, p: NkdParams):
     for u in range(g.order):
         for v in range(u + 1, g.order):
             if not g.has_edge(u, v):
-                yield f"non-edge {u}-{v}", ("add_edge", u, v), target, (u, v)
+                yield ("add_edge", u, v), target
 
 
 def _cone(g: Graph, p: NkdParams):
-    yield "cone", ("cone",), NkdParams(p.n + 1, p.k - 1, p.d), None
+    yield ("cone",), NkdParams(p.n + 1, p.k - 1, p.d)
 
 
 def _deleted_edges(dn: int, dk: int, degree_bound=None):
@@ -137,7 +125,7 @@ def _deleted_edges(dn: int, dk: int, degree_bound=None):
         bound = 0 if degree_bound is None else degree_bound(p)
         for u, v in g.edges:
             if rows[u].bit_count() >= bound or rows[v].bit_count() >= bound:
-                yield f"edge {u}-{v}", ("delete_edge", u, v), target, (u, v)
+                yield ("delete_edge", u, v), target
 
     return hosts
 
@@ -147,19 +135,28 @@ class Rule:
     """One recursive parameter rule.
 
     ``preconditions`` are (reason, test(g, p)) pairs tried in order; the
-    first failing test names the skip reason.  ``hosts(g, p)`` yields
-    (context, edit, target triple, edge) for every graph the rule speaks
-    about, as an edit of g: None for g itself, ``("add_edge", u, v)``,
-    ``("delete_edge", u, v)`` or ``("cone",)``.  Without a ``variant`` each
-    host must satisfy its target; with one ("d1" or "d3") the target fails
-    on G - edge exactly when a separator decomposition of that variant
-    exists for the edge.
+    first failing test names the skip reason.  ``hosts(g, p)`` yields (edit,
+    target triple) for every graph the rule speaks about: edit None for g
+    itself, ``("add_edge", u, v)``, ``("delete_edge", u, v)`` or
+    ``("cone",)``.  Without a ``variant`` each host must satisfy its target;
+    with one ("d1" or "d3") the target fails on G - uv exactly when a
+    separator decomposition of that variant exists for the edge uv.
     """
 
     doc: str
     preconditions: tuple
     hosts: Callable
     variant: str | None = None
+
+
+def _context(rule: Rule, edit: tuple | None, target: NkdParams) -> str:
+    """The host's name in a violation report."""
+    if edit is None:
+        shift = "lowered" if rule.hosts is _lowered else "shifted"
+        return f"{shift} params ({target.n},{target.k},{target.d})"
+    if edit[0] == "cone":
+        return "cone"
+    return f"{'non-edge' if edit[0] == 'add_edge' else 'edge'} {edit[1]}-{edit[2]}"
 
 
 _D0 = ("d!=0", lambda g, p: p.d == 0)
@@ -207,9 +204,9 @@ RULES = {
 THEOREM_IDS = tuple(RULES)
 
 
-def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: int,
-              rep: TheoremReport, holds: bool | None) -> None:
-    """Add one instance of rule ``tid`` into ``rep``.  ``holds`` is the
+def _checker(tid: str):
+    """``check_<tid>``: add one instance of rule ``tid`` into ``report`` (a
+    fresh one-graph report when None) and return it.  ``holds`` is the
     graph's own verdict on ``p``, as :func:`nkd_holds` decided it with this
     ``cap``; when it is None it is decided here first, and that is the
     instance's only validation of its triple, so an invalid triple raises
@@ -217,81 +214,55 @@ def _run_rule(tid: str, g: Graph, p: NkdParams, cap: int | None, graph_index: in
     reason recorded, ahead of ``not-an-nkd-graph``.
 
     Every host target is valid when the triple is and the preconditions
-    pass, and every edge comes from the graph, so hosts are decided as
-    edits of g by :func:`_edited_holds` and searched by
-    :func:`_separator_witness`, unvalidated.  The graph's own verdict
-    passed the decider cap, and so does every host of its order, so the
-    cap is checked again only on the cone, after the table limit that its
-    rows meet first; the search cap is checked once, after the first host
-    is decided.  A
-    violation is decided again on a host rebuilt by the same edit of a
-    freshly built copy of g, which carries no caches, and its separator
-    side by the subset scan, so a wrong separator search cannot confirm its
-    own answer."""
-    if holds is None:
-        holds = nkd_holds(g, p, cap=cap)
+    pass, and every edge comes from the graph, so hosts are decided as edits
+    of g by :func:`_edited_holds` and searched by :func:`_separator_witness`
+    unvalidated; each checks its own caps.  A violation is decided again on
+    a host rebuilt by the same edit of a freshly built copy of g, which
+    carries no caches, and its separator side by the subset scan, so a
+    wrong separator search cannot confirm its own answer."""
     rule = RULES[tid]
-    for reason, test in rule.preconditions:
-        if not test(g, p):
-            rep.skip(reason)
-            return
-    if not holds:
-        rep.skip("not-an-nkd-graph")
-        return
-    rep.applicable += 1
+    variant = rule.variant
 
-    def violation(context: str, detail: str) -> None:
-        rep.violations.append(Violation(graph_index, write_graph6(g), p.as_tuple(), context, detail))
-
-    def host_holds(edit, target: NkdParams) -> bool:
-        if edit == ("cone",):
-            _engine._require_table(g.order + 1)
-            _check_cap(g.order + 1, cap, DECIDER_CAP, "decider")
-        return _edited_holds(g, edit, target.n, target.k, target.d)
-
-    if rule.variant is None:
-        for context, edit, target, edge in rule.hosts(g, p):
-            if host_holds(edit, target):
-                continue
-            fresh = _apply_edit(Graph(g.order, g.edges), edit)
-            if is_nkd_by_characterization(fresh, target, cap=cap).holds:
-                raise RuntimeError(
-                    f"non-reproducible violation at {context}: cached decision said "
-                    f"fails, fresh decision says holds"
-                )
-            violation(context, f"derived graph is not a ({target.n},{target.k},{target.d})-graph")
-        return
-    need, size = _separator_sizes(p.n, p.k, rule.variant)
-    for i, (context, edit, target, edge) in enumerate(rule.hosts(g, p)):
-        fails = not host_holds(edit, target)
-        if not i:
-            _check_cap(g.order, cap, WITNESS_SEARCH_CAP, "decomposition search")
-        witness = _separator_witness(g, p.d, edge, rule.variant, need, size)
-        if fails != (witness is not None):
-            fresh = Graph(g.order, g.edges)
-            re_fails = not is_nkd_by_characterization(_apply_edit(fresh, edit), target, cap=cap).holds
-            re_witness = _scan_decomposition_witness(fresh, p, edge, rule.variant, cap=cap)
-            if re_fails != fails or (re_witness is None) != (witness is None):
-                raise RuntimeError(
-                    f"non-reproducible violation at {context} of graph "
-                    f"{graph_index}: cached and fresh runs disagree"
-                )
-            violation(context, "deletion fails but no separator decomposition exists"
-                      if fails else "separator decomposition exists but deletion succeeds")
-        if p.d == 0 and witness is not None:
-            violation(context, "separator decomposition found at d = 0, which the size rule forbids")
-
-
-def _checker(tid: str):
     def check(g: Graph, p: NkdParams, cap: int | None = None, graph_index: int = 0,
               report: TheoremReport | None = None, holds: bool | None = None) -> TheoremReport:
         if report is None:
             report = TheoremReport(tid, graphs_examined=1)
-        _run_rule(tid, g, p, cap, graph_index, report, holds)
+        if holds is None:
+            holds = nkd_holds(g, p, cap=cap)
+        for reason, test in rule.preconditions:
+            if not test(g, p):
+                report.skip(reason)
+                return report
+        if not holds:
+            report.skip("not-an-nkd-graph")
+            return report
+        report.applicable += 1
+        for edit, target in rule.hosts(g, p):
+            fails = not _edited_holds(g, edit, target.n, target.k, target.d, cap)
+            witness = None if variant is None else _separator_witness(g, p, edit[1:], variant, cap)
+            if fails != (witness is not None):
+                fresh = Graph(g.order, g.edges)
+                re_fails = not is_nkd_by_characterization(_apply_edit(fresh, edit), target, cap=cap).holds
+                re_witness = (None if variant is None
+                              else _scan_decomposition_witness(fresh, p, edit[1:], variant, cap=cap))
+                if re_fails != fails or (re_witness is None) != (witness is None):
+                    raise RuntimeError(f"non-reproducible violation at {_context(rule, edit, target)} "
+                                       f"of graph {graph_index}: cached and fresh runs disagree")
+                if variant is None:
+                    detail = f"derived graph is not a ({target.n},{target.k},{target.d})-graph"
+                else:
+                    detail = ("deletion fails but no separator decomposition exists" if fails
+                              else "separator decomposition exists but deletion succeeds")
+                report.violations.append(Violation(
+                    graph_index, write_graph6(g), p.as_tuple(), _context(rule, edit, target), detail))
+            if p.d == 0 and witness is not None:
+                report.violations.append(Violation(
+                    graph_index, write_graph6(g), p.as_tuple(), _context(rule, edit, target),
+                    "separator decomposition found at d = 0, which the size rule forbids"))
         return report
 
     check.__name__ = check.__qualname__ = f"check_{tid}"
-    check.__doc__ = RULES[tid].doc
+    check.__doc__ = rule.doc
     return check
 
 
@@ -422,7 +393,7 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
     ``CENSUS_ORDER_CAP``, whichever is larger.  ``jobs > 1`` checks graphs
     in a pool of worker processes; results are merged in input order either
     way.  ``jobs`` must lie in 1..os.cpu_count(), and ``max_order`` must
-    not be negative.
+    not be negative, nor so large that a graph's cone passes the table limit.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= jobs <= cpus:
@@ -440,6 +411,7 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
             f"census max order {max_order} exceeds the default cap of "
             f"{CENSUS_ORDER_CAP}; pass allow_large to accept the cost"
         )
+    _require_cone_table(max_order)
     work = functools.partial(_census_worker, theorems=theorems, max_order=max_order,
                              cap=max(max_order + 1, CENSUS_ORDER_CAP))
     items = enumerate(graph6_records(lines))

@@ -33,13 +33,6 @@ class ComponentProfile:
     def odd_count(self) -> int:
         return sum(1 for c in self.components if len(c) % 2 == 1)
 
-    def describe(self) -> list[str]:
-        out = []
-        for i, comp in enumerate(self.components):
-            parity = "odd" if self.is_odd(i) else "even"
-            out.append(f"{' '.join(map(str, comp))} ({parity})")
-        return out
-
 
 def components(g: Graph) -> ComponentProfile:
     """Connected components of ``g`` in deterministic order."""

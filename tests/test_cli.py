@@ -271,8 +271,12 @@ def test_census_max_order_refusal(capsys, tmp_path):
                        "--max-order", "30")
     assert code == 2 and "30" in err
     code, _, _ = run(capsys, "census", "--input", str(stream),
-                     "--max-order", "30", "--allow-large")
+                     "--max-order", "23", "--allow-large")
     assert code == 0
+    # past the table limit, which --allow-large does not lift
+    code, _, err = run(capsys, "census", "--input", str(stream),
+                       "--max-order", "30", "--allow-large")
+    assert code == 2 and "table limit of 24 vertices" in err
 
 
 @pytest.mark.parametrize("flag, env", [("-3", None), (None, "-3")])

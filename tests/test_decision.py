@@ -36,10 +36,10 @@ from matchext import (
 import matchext.decision as decision
 from matchext.decision import (
     _char_summary,
-    _characterization_holds,
     _cone_planes,
-    _edit_rows,
     _edited_holds,
+    _plane_rows,
+    _rows_hold,
     _scan_decomposition_witness,
 )
 from matchext.matching import _matchings_in_mask
@@ -547,7 +547,8 @@ def test_plane_rows_match_the_list_fold(fixture, request):
     # extended from its parent's, each against the fold on a fresh copy
     for g in _plane_fixture(fixture, request):
         parent = Graph(g.order, g.edges)
-        for h, rows in ((parent, _char_summary(parent)), (parent.cone(), _edit_rows(parent, ("cone",)))):
+        for h, rows in ((parent, _char_summary(parent)),
+                        (parent.cone(), _plane_rows(parent.order + 1, *_cone_planes(parent)))):
             fresh = Graph(h.order, h.edges)
             assert rows == _fold_summary(fresh, fresh), (g, h.order)
 
@@ -793,7 +794,7 @@ def test_derived_summary_matches_fresh(fixture, request):
             assert _char_summary(h) == exact, (g, edit)
             params = triples[h.order]
             decided = [_edited_holds(parent, edit, *p.as_tuple()) for p in params]
-            want = [_characterization_holds(fresh, *p.as_tuple()) for p in params]
+            want = [_rows_hold(_char_summary(fresh), *p.as_tuple()) for p in params]
             assert decided == want, (g, edit)
             rows = parent._cache[edit]
             if edit[0] == "cone":

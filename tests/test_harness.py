@@ -196,10 +196,10 @@ def _force_order7_not_100(monkeypatch, recheck_too: bool) -> None:
             return False
         return real(g, q, cap=cap)
 
-    def lying_host(g, edit, n, k, d):
+    def lying_host(g, edit, n, k, d, cap=None):
         if (n, k, d) == (1, 0, 0) and g.order == 7 and edit is None:
             return False
-        return real_host(g, edit, n, k, d)
+        return real_host(g, edit, n, k, d, cap)
 
     class LyingVerdict:
         holds = False
@@ -230,6 +230,32 @@ def test_violation_reporting_when_recheck_confirms(monkeypatch):
     assert violation.context == "lowered params (1,0,0)"
     assert "1,0,0" in violation.detail
     assert violation.graph6 == write_graph6(h)
+
+
+@pytest.mark.parametrize("checker, g, p, edit, context, target", [
+    (check_A4, complete(8), NkdParams(2, 2, 0), None, "shifted params (4,0,0)", "(4,0,0)"),
+    (check_B1, Graph(8, [e for e in combinations(range(8), 2) if e != (2, 5)]),
+     NkdParams(2, 1, 0), ("add_edge", 2, 5), "non-edge 2-5", "(2,0,0)"),
+    (check_C1, complete(6), NkdParams(2, 1, 0), ("cone",), "cone", "(3,0,0)"),
+])
+def test_violation_context_names_each_host_kind(monkeypatch, checker, g, p, edit, context,
+                                                target):
+    # the context is named only for a confirmed violation: force one on the
+    # rule's only host, and have the fresh recheck confirm it
+    real_host = harness._edited_holds
+
+    def lying_host(h, e, n, k, d, cap=None):
+        return e != edit and real_host(h, e, n, k, d, cap)
+
+    class LyingVerdict:
+        holds = False
+
+    monkeypatch.setattr(harness, "_edited_holds", lying_host)
+    monkeypatch.setattr(harness, "is_nkd_by_characterization", lambda h, q, cap=None: LyingVerdict())
+    rep = checker(g, p, graph_index=3)
+    assert rep.applicable == 1
+    assert [(v.graph_index, v.params, v.context, v.detail) for v in rep.violations] == [
+        (3, p.as_tuple(), context, f"derived graph is not a {target}-graph")]
 
 
 @pytest.mark.parametrize("line", [">>graph6<<F~~~w", "~??F~~~w"])
@@ -411,12 +437,12 @@ def test_every_host_target_is_valid_on_its_host():
                 for tid, rule in harness.RULES.items():
                     if not all(test(g, p) for _, test in rule.preconditions):
                         continue
-                    for context, edit, target, edge in rule.hosts(g, p):
+                    for edit, target in rule.hosts(g, p):
                         host = g if edit is None else getattr(g, edit[0])(*edit[1:])
                         validate_params(host, target)
-                        assert host.order == g.order + (context == "cone"), context
+                        assert host.order == g.order + (edit == ("cone",)), edit
                         if rule.variant is not None:
-                            assert g.has_edge(*edge), context
+                            assert g.has_edge(*edit[1:]), edit
                         checked[tid] += 1
     assert all(checked.values()), checked
 
@@ -542,7 +568,7 @@ def _inconclusive_edits(g):
         for rule in harness.RULES.values():
             if not all(test(parent, p) for _, test in rule.preconditions):
                 continue
-            for _, edit, target, _ in rule.hosts(parent, p):
+            for edit, target in rule.hosts(parent, p):
                 if edit is None or edit == ("cone",):
                     continue
                 if edit not in bounds:
@@ -637,7 +663,30 @@ def test_run_census_skips_large_graphs_and_blank_lines():
 def test_run_census_order_cap_refusal():
     with pytest.raises(SearchCapExceeded, match="14"):
         run_census([], max_order=30)
-    assert run_census([], max_order=30, allow_large=True).graphs == 0
+    assert run_census([], max_order=23, allow_large=True).graphs == 0
+    # allow_large accepts the cost, not graphs whose cones pass the table limit
+    with pytest.raises(SearchCapExceeded, match="table limit of 24 vertices"):
+        run_census([], max_order=30, allow_large=True)
+
+
+def test_run_census_refuses_a_max_order_past_the_table_limit(monkeypatch):
+    # the cone of an order-24 graph, C1's host, has 25 vertices: such a
+    # census used to check the first graph and then die mid-stream, so it
+    # is refused before a pool starts or a graph is decoded
+    lines = ["EhEG", write_graph6(cycle(25)), "DhC"]
+    result = run_census(lines, max_order=23, allow_large=True)
+    assert (result.graphs, result.skipped_over_max_order) == (2, 1) and result.passed
+
+    def refuse(*args, **kwargs):
+        pytest.fail("pool or decode work started before the max order was checked")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+    monkeypatch.setattr(harness, "read_graph6", refuse)
+    for max_order, jobs in ((24, 1), (25, 1), (24, 2)):
+        with pytest.raises(SearchCapExceeded,
+                           match=f"census max order {max_order} exceeds 23: .* table limit of 24 vertices"):
+            run_census(lines, max_order=max_order, jobs=jobs, allow_large=True)
 
 
 def test_run_census_refuses_a_negative_max_order(monkeypatch):
