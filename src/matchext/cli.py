@@ -200,6 +200,8 @@ def cmd_census(args) -> int:
     if args.theorems == "":
         raise ParameterError("--theorems must name at least one rule")
     theorems = THEOREM_IDS if args.theorems is None else tuple(args.theorems.split(","))
+    if args.report:
+        _refuse_unwritable(args.report)
     with _open_input(args.input) as stream:
         result = run_census(
             stream,
@@ -220,6 +222,20 @@ def cmd_census(args) -> int:
     if result.decode_errors:
         return EXIT_DECODE
     return EXIT_OK
+
+
+def _refuse_unwritable(path: str) -> None:
+    """Open ``path`` for appending, as the report will be written, and
+    remove the file again if this made it, so that a census whose report
+    cannot be written is refused before it reads a graph."""
+    made = not os.path.lexists(path)
+    try:
+        with open(path, "a"):
+            pass
+    except OSError as exc:
+        raise ParameterError(f"cannot write the report to {path}: {exc.strerror}") from None
+    if made:
+        os.remove(path)
 
 
 @functools.cache

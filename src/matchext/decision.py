@@ -288,26 +288,36 @@ def _char_summary(g: Graph) -> list[list[int]]:
     k-matching.
 
     The rows are exact, read from the graph's own planes
-    (:func:`_plane_rows`) without a 2^n list."""
-    return _engine.cached(
-        g, "char_summary", lambda: _plane_rows(g.order, _engine.nu_planes(g), _engine.odd_digits(g)))
+    (:func:`_plane_rows`) without a 2^n list.  Their maximisers are cached
+    with them, as ``"maximisers"``, for the G - uv bounds
+    (:func:`_deletion_bounds`)."""
+
+    def build():
+        rows, g._cache["maximisers"] = _plane_rows(
+            g.order, _engine.nu_planes(g), _engine.odd_digits(g))
+        return rows
+
+    return _engine.cached(g, "char_summary", build)
 
 
-def _plane_rows(order: int, planes: list[int], digits: list[int]) -> list[list[int]]:
+def _plane_rows(order: int, planes: list[int],
+                digits: list[int]) -> tuple[list[list[int]], list[int]]:
     """The summary rows from the matching planes P_1, P_2, ... and the odd
-    count's digit planes.  Reversed, the digits give the odd count of V - S
-    at S.  Row k at size s is the largest count over ``P_k & L_s``, with P_0
-    every mask and L_s the masks of size s, minus s; the maximum is taken
-    bit-sliced, keeping from the top digit down the candidates that hold
-    it whenever any does.  P_k holds every mask with a larger matching, so
-    the rows need no fold."""
+    count's digit planes, and per row the plane of its maximisers.
+    Reversed, the digits give the odd count of V - S at S.  Row k at size s
+    is the largest count over ``P_k & L_s``, with P_0 every mask and L_s
+    the masks of size s, minus s; the maximum is taken bit-sliced, keeping
+    from the top digit down the candidates that hold it whenever any does.
+    Those left are the maximisers at (k, s); the size planes are disjoint,
+    so one union per row keeps them all.  P_k holds every mask with a
+    larger matching, so the rows need no fold."""
     # the reversed digit planes from the top down, each with its value
     weighted = [(_engine.reversed_plane(digit, order), 1 << t)
                 for t, digit in reversed(list(enumerate(digits)))]
     sizes = _engine.size_planes(order)
-    rows = []
+    rows, maximisers = [], []
     for k, plane in enumerate([_engine.every_mask(order)] + planes):
-        row = [_NEG] * (order + 2)
+        row, top = [_NEG] * (order + 2), 0
         for s in range(2 * k, order + 1):
             held = plane & sizes[s]
             if held:
@@ -317,8 +327,10 @@ def _plane_rows(order: int, planes: list[int], digits: list[int]) -> list[list[i
                         held &= digit
                         best |= value
                 row[s] = best - s
+                top |= held
         rows.append(row)
-    return rows
+        maximisers.append(top)
+    return rows, maximisers
 
 
 def _edited_holds(g: Graph, edit: tuple | None, n: int, k: int, d: int,
@@ -339,7 +351,7 @@ def _edited_holds(g: Graph, edit: tuple | None, n: int, k: int, d: int,
     key = (edit, n, k, d)
     holds = g._cache.get(key)
     if holds is None:
-        rows = _engine.cached(g, edit, lambda: _plane_rows(g.order + 1, *_cone_planes(g))
+        rows = _engine.cached(g, edit, lambda: _plane_rows(g.order + 1, *_cone_planes(g))[0]
                               if cone else _edge_bound(g, edit[0], edit[1:]))
         holds = _rows_hold(rows, n, k, d)
         if not holds and not cone:
@@ -398,41 +410,71 @@ def _edge_bound(parent: Graph, method: str, args: tuple) -> list[list[int]]:
     G[M - u - v] is as large, so with Z_x the masks lacking x the host's
     matching planes are P'_j = P_j | (P_{j-1} & Z_u & Z_v) << (2^u + 2^v).
     G - uv: the odd count of R rises by 2 exactly on the bridge plane B
-    (:func:`_bridge_plane`), so the host's odd digits are the parent's plus
-    B added at digit 1, bit-sliced."""
+    (:func:`_bridge_plane`); every edge's rows are read from the parent's
+    in one pass, the first time one is asked for (:func:`_deletion_bounds`)."""
+    if method == "delete_edge":
+        return _engine.cached(parent, "deletion_bounds", lambda: _deletion_bounds(parent))[args]
     order = parent.order
     u, v = args
     planes, digits = _engine.nu_planes(parent), _engine.odd_digits(parent)
-    if method == "add_edge":
-        everything = _engine.every_mask(order)
-        holding = _engine.vertex_planes(order)
-        free = everything & ~holding[u] & ~holding[v]
-        host = [p | (below & free) << ((1 << u) + (1 << v))
-                for p, below in zip(planes + [0], [everything] + planes)]
-        return _plane_rows(order, host if host[-1] else host[:-1], digits)
-    carry, host = _bridge_plane(parent, u, v), digits[:1]
-    for digit in digits[1:]:
-        host.append(digit ^ carry)
-        carry &= digit
-    return _plane_rows(order, planes, host + [carry])
+    everything = _engine.every_mask(order)
+    holding = _engine.vertex_planes(order)
+    free = everything & ~holding[u] & ~holding[v]
+    host = [p | (below & free) << ((1 << u) + (1 << v))
+            for p, below in zip(planes + [0], [everything] + planes)]
+    return _plane_rows(order, host if host[-1] else host[:-1], digits)[0]
 
 
-def _bridge_plane(g: Graph, u: int, v: int) -> int:
+def _deletion_bounds(g: Graph) -> dict[Edge, list[list[int]]]:
+    """The G - uv bound of :func:`_edge_bound` for every edge uv of g: the
+    rows over g's matching planes with the host's odd counts, g's plus 2
+    on the bridge plane B.  At a fixed size s every odd count of V - S has
+    the parity of order - s, so entry (k, s) is g's own plus 2 exactly when
+    g's maximisers at (k, s) (:func:`_char_summary`) meet rev(B), and g's
+    own otherwise; rows without a rise are g's own lists.
+
+    The vertices are swept in increasing order, one sweep of joined planes
+    each over g's own edges, and every edge uv with u < v is read from v's
+    sweep, with u's parity plane kept from its own.  Only the parity planes
+    outlive a sweep, so the pass holds O(order) planes and caches none."""
+    order = g.order
+    rows = _char_summary(g)
+    # a maximiser S of V - S's count lines up with R = V - S when reversed
+    tops = [_engine.reversed_plane(top, order) for top in g._cache["maximisers"]]
+    sizes = _engine.size_planes(order)
+    parity, bounds = [0] * order, {}
+    for v in range(order):
+        joined = _joined_planes(order, g.edges, v)
+        parity[v] = reduce(operator.xor, joined)
+        for u in _engine.bits_of(g.adjacency[v] & ((1 << v) - 1)):
+            bridge = _bridge_plane(g, u, v, joined, parity)
+            bound = []
+            for k, (row, top) in enumerate(zip(rows, tops)):
+                rising = top & bridge
+                if rising:
+                    row = row.copy()
+                    for s in range(2 * k, order + 1):
+                        if rising & sizes[order - s]:
+                            row[s] += 2
+                bound.append(row)
+            bounds[u, v] = bound
+    return bounds
+
+
+def _bridge_plane(g: Graph, u: int, v: int, joined: list[int], parity) -> int:
     """B, the masks R holding u and v in which uv is a bridge of G[R]
-    between two odd parts: in G[R] - uv, u is not joined to v and both
-    parts are odd.  v's part is read from its joined planes
-    (:func:`_joined_planes`), grown over the edges of G - uv: u lies outside
-    it when ``~J_v[u]`` and it is odd on the XOR of the planes.  Once the
-    two parts are apart, u's component in G[R] is their union, so both are
-    odd exactly when v's part is odd and that component is even.  u's
-    component parity in G is the XOR of one sweep from u over G's own
-    edges, cached on G as ``("parity", u)`` for every edge at u."""
-    uv = (min(u, v), max(u, v))
-    from_v = _joined_planes(g.order, [e for e in g.edges if e != uv], v)
-    parity = _engine.cached(
-        g, ("parity", u), lambda: reduce(operator.xor, _joined_planes(g.order, g.edges, u)))
-    holding = _engine.vertex_planes(g.order)[u]
-    return holding & ~from_v[u] & reduce(operator.xor, from_v) & ~parity
+    between two odd parts, read from ``joined``, v's joined planes over
+    G's own edges (:func:`_joined_planes`), and ``parity[x]``, the XOR of
+    x's joined planes, for x = u and v.  With M = R - u, uv is a bridge
+    exactly when v's component in G[M] holds no other neighbour w of u, so
+    M lies outside every J_v[w]; v's part is that component, odd on P_v.
+    Once the two parts are apart, u's component in G[R] is their union, so
+    u's part is odd exactly when that component is even, off P_u."""
+    near = 0
+    for w in _engine.bits_of(g.adjacency[u] & ~(1 << v)):
+        near |= joined[w]
+    lacking_u = ~_engine.vertex_planes(g.order)[u]
+    return ((parity[v] & ~near & lacking_u) << (1 << u)) & ~parity[u]
 
 
 def _joined_planes(order: int, edges: list[Edge], source: int) -> list[int]:

@@ -9,16 +9,16 @@ edge-deletion iff rules D1/D3, the separator-decomposition variant.
 (see :func:`_checker`) that adds one instance into the report it is given
 (or a fresh one-graph report); :mod:`decision` makes every check on a host.
 A violation is re-checked on freshly built graphs, and only then is its
-context named.  The census gives each rule one report per graph, which
-every valid triple adds into, decides the graph's own verdict once per
-triple for all rules, and merges those reports in stream order.
+context named.  The census gives each rule one report per graph, decides
+the graph's own verdict once per triple for all rules, runs a checker only
+on the instances it applies to and counts the others from a table per
+order (:func:`check_graph`), and merges those reports in stream order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
-import multiprocessing
 import os
 from dataclasses import dataclass, field
 from typing import Callable
@@ -134,8 +134,9 @@ def _deleted_edges(dn: int, dk: int, degree_bound=None):
 class Rule:
     """One recursive parameter rule.
 
-    ``preconditions`` are (reason, test(g, p)) pairs tried in order; the
-    first failing test names the skip reason.  ``hosts(g, p)`` yields (edit,
+    ``preconditions`` are (reason, test(p)) pairs on the triple, tried in
+    order after ``bipartite``, which asks that the graph be bipartite
+    (:meth:`skip_reason`).  ``hosts(g, p)`` yields (edit,
     target triple) for every graph the rule speaks about: edit None for g
     itself, ``("add_edge", u, v)``, ``("delete_edge", u, v)`` or
     ``("cone",)``.  Without a ``variant`` each host must satisfy its target;
@@ -147,6 +148,16 @@ class Rule:
     preconditions: tuple
     hosts: Callable
     variant: str | None = None
+    bipartite: bool = False
+
+    def skip_reason(self, p: NkdParams, bipartite: bool) -> str | None:
+        """The first unmet precondition of triple ``p`` on a graph that is
+        ``bipartite`` or not, or None when all pass.  They read nothing else
+        of the graph, so every graph of one order and bipartiteness shares
+        the answers."""
+        if self.bipartite and not bipartite:
+            return "not-bipartite"
+        return next((reason for reason, test in self.preconditions if not test(p)), None)
 
 
 def _context(rule: Rule, edit: tuple | None, target: NkdParams) -> str:
@@ -159,12 +170,11 @@ def _context(rule: Rule, edit: tuple | None, target: NkdParams) -> str:
     return f"{'non-edge' if edit[0] == 'add_edge' else 'edge'} {edit[1]}-{edit[2]}"
 
 
-_D0 = ("d!=0", lambda g, p: p.d == 0)
-_N_ABOVE_D = ("n<=d", lambda g, p: p.n > p.d)
-_N2 = ("n<2", lambda g, p: p.n >= 2)
-_K1 = ("k<1", lambda g, p: p.k >= 1)
-_K2 = ("k<2", lambda g, p: p.k >= 2)
-_BIPARTITE = ("not-bipartite", lambda g, p: is_bipartite(g))
+_D0 = ("d!=0", lambda p: p.d == 0)
+_N_ABOVE_D = ("n<=d", lambda p: p.n > p.d)
+_N2 = ("n<2", lambda p: p.n >= 2)
+_K1 = ("k<1", lambda p: p.k >= 1)
+_K2 = ("k<2", lambda p: p.k >= 2)
 
 RULES = {
     "A3": Rule(
@@ -192,7 +202,7 @@ RULES = {
         (_N2,), _deleted_edges(2, 0), "d1",
     ),
     "D2": Rule("Bipartite, n >= 2: deleting any edge keeps (n-2, k, d).",
-               (_BIPARTITE, _N2), _deleted_edges(2, 0)),
+               (_N2,), _deleted_edges(2, 0), bipartite=True),
     "D3": Rule(
         "k >= 1: for edges with an endpoint of degree >= 2k, deleting the edge "
         "destroys (n, k-1, d) exactly when a separator decomposition exists "
@@ -229,12 +239,11 @@ def _checker(tid: str):
             report = TheoremReport(tid, graphs_examined=1)
         if holds is None:
             holds = nkd_holds(g, p, cap=cap)
-        for reason, test in rule.preconditions:
-            if not test(g, p):
-                report.skip(reason)
-                return report
-        if not holds:
-            report.skip("not-an-nkd-graph")
+        reason = rule.skip_reason(p, rule.bipartite and is_bipartite(g))
+        if reason is None and not holds:
+            reason = "not-an-nkd-graph"
+        if reason is not None:
+            report.skip(reason)
             return report
         report.applicable += 1
         for edit, target in rule.hosts(g, p):
@@ -352,17 +361,48 @@ def _theorem_ids(theorems) -> tuple[str, ...]:
     return theorems
 
 
+@functools.cache
+def _instances(theorems: tuple[str, ...], order: int, bipartite: bool):
+    """The instance table of the rules ``theorems`` on the graphs of one
+    order that are ``bipartite`` or not: each valid triple with the ids of
+    the rules whose preconditions pass on it, and per rule the count of
+    each skip reason of the others.  Callers must not change it."""
+    table, skips = [], {tid: {} for tid in theorems}
+    for p in _valid_triples(order):
+        passing = []
+        for tid in theorems:
+            reason = RULES[tid].skip_reason(p, bipartite)
+            if reason is None:
+                passing.append(tid)
+            else:
+                skips[tid][reason] = skips[tid].get(reason, 0) + 1
+        table.append((p, tuple(passing)))
+    return tuple(table), skips
+
+
 def check_graph(g: Graph, theorems=THEOREM_IDS, cap: int | None = None,
                 graph_index: int = 0) -> dict[str, TheoremReport]:
-    """Run the selected checkers over every valid triple of one graph.  The
-    graph's own verdict is decided once per triple and handed to each.
-    Unknown or repeated theorem ids raise ParameterError."""
-    out = {tid: TheoremReport(tid, graphs_examined=1) for tid in _theorem_ids(theorems)}
-    for p in _valid_triples(g.order) if out else ():
-        holds = nkd_holds(g, p, cap=cap)
-        for tid, report in out.items():
-            CHECKERS[tid](g, p, cap=cap, graph_index=graph_index, report=report,
-                          holds=holds)
+    """Run the selected checkers over every valid triple of one graph, with
+    the reports :func:`check_<id>` would add up to.  The graph's own verdict
+    is decided once per triple.  A rule's checker runs only on the triples
+    whose preconditions pass, read from the order's instance table
+    (:func:`_instances`), and where the graph holds; the table's skip
+    counts are added in one step, and ``not-an-nkd-graph`` is counted for
+    the other passing triples.  The graph is two-coloured only when a
+    selected rule asks for a bipartite graph.  Unknown or repeated theorem
+    ids raise ParameterError."""
+    theorems = _theorem_ids(theorems)
+    colour = any(RULES[tid].bipartite for tid in theorems) and bool(_valid_triples(g.order))
+    table, skips = _instances(theorems, g.order, colour and is_bipartite(g))
+    out = {tid: TheoremReport(tid, graphs_examined=1, inapplicable=dict(skips[tid]))
+           for tid in theorems}
+    for p, passing in table if out else ():
+        if nkd_holds(g, p, cap=cap):
+            for tid in passing:
+                CHECKERS[tid](g, p, cap=cap, graph_index=graph_index, report=out[tid], holds=True)
+        else:
+            for tid in passing:
+                out[tid].skip("not-an-nkd-graph")
     return out
 
 
@@ -417,7 +457,11 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
     items = enumerate(graph6_records(lines))
 
     result = CensusResult(0, 0, [], {tid: TheoremReport(tid) for tid in theorems})
-    pool = multiprocessing.Pool(jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        import multiprocessing  # only a pool needs it: a serial census starts faster
+
+        pool = multiprocessing.Pool(jobs)
     with pool or contextlib.nullcontext():
         results = pool.imap(work, items, chunksize=16) if pool else map(work, items)
         for lineno, error, per_theorem in results:

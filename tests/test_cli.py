@@ -320,6 +320,48 @@ def test_census_rejects_repeated_or_empty_theorem_ids(capsys, tmp_path, theorems
     assert out == "" and not report.exists()
 
 
+@pytest.mark.parametrize("where", ["no/such/dir/r.json", "."])
+def test_census_refuses_an_unwritable_report_before_reading(capsys, tmp_path, monkeypatch,
+                                                            where):
+    # a missing folder, or a folder in the file's place: the census must not
+    # check a whole stream and only then fail to write its result
+    stream = tmp_path / "s.g6"
+    stream.write_text(write_graph6(cycle(6)) + "\n")
+
+    def unreached(*args):
+        raise AssertionError("a graph was read before the report was refused")
+
+    monkeypatch.setattr(harness, "read_graph6", unreached)
+    report = tmp_path / where
+    code, out, err = run(capsys, "census", "--input", str(stream), "--report", str(report))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: cannot write the report to {report}: ")
+
+
+def test_report_check_leaves_the_path_as_it_was(tmp_path):
+    # the check removes a report file that it made, and leaves the content
+    # of an existing one for the census to overwrite
+    report = tmp_path / "r.json"
+    cli._refuse_unwritable(str(report))
+    assert not report.exists()
+    report.write_text("old")
+    cli._refuse_unwritable(str(report))
+    assert report.read_text() == "old"
+
+
+def test_serial_census_does_not_import_multiprocessing(tmp_path):
+    # only a pool needs multiprocessing, so a serial census does not pay
+    # for its import at start-up
+    stream = tmp_path / "empty.g6"
+    stream.write_text("")
+    code = ("import sys; from matchext import cli; "
+            "assert cli.main(['census', '--input', sys.argv[1]]) == 0; "
+            "print('multiprocessing' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(stream)], env=_matchext_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_edge_list_input_inferred(capsys, tmp_path):
     path = tmp_path / "graph.el"
     path.write_text(write_edge_list(cycle(6)))

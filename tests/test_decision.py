@@ -548,7 +548,7 @@ def test_plane_rows_match_the_list_fold(fixture, request):
     for g in _plane_fixture(fixture, request):
         parent = Graph(g.order, g.edges)
         for h, rows in ((parent, _char_summary(parent)),
-                        (parent.cone(), _plane_rows(parent.order + 1, *_cone_planes(parent)))):
+                        (parent.cone(), _plane_rows(parent.order + 1, *_cone_planes(parent))[0])):
             fresh = Graph(h.order, h.edges)
             assert rows == _fold_summary(fresh, fresh), (g, h.order)
 
@@ -838,9 +838,9 @@ def _two_sweep_bridge_plane(g, u, v):
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample", "order17"])
 def test_bridge_plane_matches_the_two_sweep_formula(fixture, request):
-    # the one-sweep plane reads u's side from the parent's cached parity of
-    # u's component; it must equal the two-sweep plane on every edge, read
-    # from either end
+    # the plane read from one sweep from v over the parent's own edges and
+    # the parity of u's component must equal the two-sweep plane on every
+    # edge, read from either end
     if fixture == "order17":
         graphs = [family_cliques_plus_edge(3, 2), family_gadget_chain(3)]
         assert {g.order for g in graphs} == {17}
@@ -848,9 +848,40 @@ def test_bridge_plane_matches_the_two_sweep_formula(fixture, request):
         graphs = request.getfixturevalue(fixture)
     for g in graphs:
         parent = Graph(g.order, g.edges)
+        joined = [decision._joined_planes(g.order, parent.edges, x) for x in range(g.order)]
+        parity = [reduce(xor, planes) for planes in joined]
         for u, v in parent.edges:
             for a, b in ((u, v), (v, u)):
-                assert decision._bridge_plane(parent, a, b) == _two_sweep_bridge_plane(g, a, b), (g, a, b)
+                got = decision._bridge_plane(parent, a, b, joined[b], parity)
+                assert got == _two_sweep_bridge_plane(g, a, b), (g, a, b)
+
+
+def _cached_planes(g) -> int:
+    """How many 2^order-bit planes g's cache holds, in its values and the
+    lists, tuples and dicts among them; row entries are small numbers."""
+    def count(value):
+        if isinstance(value, int):
+            return value > 1 << (g.order + 1)
+        if isinstance(value, dict):
+            value = list(value.values())
+        return sum(map(count, value)) if isinstance(value, (list, tuple)) else 0
+
+    return count(list(g._cache.values()))
+
+
+def test_deletion_bounds_keep_no_sweep_planes(order12_dense):
+    # every G - uv host is decided from one sweep of joined planes per
+    # vertex, and none of those planes stays cached on the graph: about
+    # order^2 of them would, against its few matching, digit and maximiser
+    # planes
+    for g in order12_dense:
+        g = Graph(g.order, g.edges)
+        target = valid_triples(g.order)[-1].as_tuple()
+        for u, v in g.edges:
+            _edited_holds(g, ("delete_edge", u, v), *target)
+        assert all(("delete_edge",) + e in g._cache for e in g.edges)
+        planes = len(_engine.nu_planes(g)) + len(_engine.odd_digits(g)) + len(g._cache["maximisers"])
+        assert _cached_planes(g) == planes <= 2 * g.order, g
 
 
 @pytest.mark.parametrize("code, method, edge, triple, holds", [

@@ -315,11 +315,12 @@ def test_checkers_reject_invalid_triples_first(checker, g, p, rule):
         checker(g, p)
 
 
-def _summed_instances(g):
-    """Every rule's one-graph report built as the sum of single-instance
-    reports on a fresh copy of ``g``, which shares no cache with ``g``."""
+def _summed_instances(g, theorems=harness.THEOREM_IDS):
+    """The reports of the rules ``theorems`` built as the sum of
+    single-instance reports, one checker call per rule and valid triple, on
+    a fresh copy of ``g``, which shares no cache with ``g``."""
     fresh = Graph(g.order, g.edges)
-    totals = {tid: TheoremReport(tid, graphs_examined=1) for tid in harness.THEOREM_IDS}
+    totals = {tid: TheoremReport(tid, graphs_examined=1) for tid in theorems}
     for p in valid_triples(g.order):
         for tid, total in totals.items():
             one = harness.CHECKERS[tid](fresh, p)
@@ -334,9 +335,15 @@ def _summed_instances(g):
 
 def test_check_graph_equals_summed_single_instances(census7, disconnected1000,
                                                     order8_sample):
-    for g in census7 + disconnected1000[:200] + order8_sample[:100]:
-        got = {tid: rep.to_dict() for tid, rep in check_graph(g).items()}
-        assert got == _summed_instances(g), write_graph6(g)
+    # check_graph's instance tables against the checkers on every instance:
+    # all rules, then selections with and without the bipartite rule, so
+    # that both kinds of table serve
+    selections = [harness.THEOREM_IDS, ("D2", "A5"), ("C1", "D3", "A4")]
+    for g in census7 + disconnected1000 + order8_sample:
+        for theorems in selections if g.order <= 7 else selections[:1]:
+            reports = check_graph(Graph(g.order, g.edges), theorems)
+            got = {tid: rep.to_dict() for tid, rep in reports.items()}
+            assert got == _summed_instances(g, theorems), (write_graph6(g), theorems)
 
 
 def test_check_graph_keeps_one_report_per_rule(monkeypatch):
@@ -417,7 +424,7 @@ def _hosts_in_scope(tid, g, p):
     """Whether instance (g, p) of rule ``tid`` passes its preconditions and
     names at least one host, read without the runner."""
     rule = harness.RULES[tid]
-    return all(test(g, p) for _, test in rule.preconditions) and any(
+    return rule.skip_reason(p, structure.is_bipartite(g)) is None and any(
         True for _ in rule.hosts(g, p))
 
 
@@ -435,7 +442,7 @@ def test_every_host_target_is_valid_on_its_host():
         for g in (near_complete, Graph(order, [(v, v + 1) for v in range(order - 1)])):
             for p in valid_triples(order):
                 for tid, rule in harness.RULES.items():
-                    if not all(test(g, p) for _, test in rule.preconditions):
+                    if rule.skip_reason(p, structure.is_bipartite(g)) is not None:
                         continue
                     for edit, target in rule.hosts(g, p):
                         host = g if edit is None else getattr(g, edit[0])(*edit[1:])
@@ -514,9 +521,13 @@ def test_check_graph_dispatches_through_checkers_at_call_time(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setitem(harness.CHECKERS, "D3", counting)
-    reports = check_graph(complete(6))
-    assert len(calls) == len(valid_triples(6))
-    assert reports["D3"].applicable + sum(reports["D3"].inapplicable.values()) == len(calls)
+    g = complete(6)
+    reports = check_graph(g)
+    # the checker runs once per applicable instance, in triple order; every
+    # other instance is counted without a call, and all add up
+    assert calls == [p for p in valid_triples(6) if p.k >= 1 and nkd_holds(g, p)]
+    assert len(calls) == reports["D3"].applicable > 0
+    assert reports["D3"].applicable + sum(reports["D3"].inapplicable.values()) == len(valid_triples(6))
 
 
 def test_check_c1_builds_no_cone_when_inapplicable():
@@ -566,7 +577,7 @@ def _inconclusive_edits(g):
         if not nkd_holds(parent, p):
             continue
         for rule in harness.RULES.values():
-            if not all(test(parent, p) for _, test in rule.preconditions):
+            if rule.skip_reason(p, structure.is_bipartite(parent)) is not None:
                 continue
             for edit, target in rule.hosts(parent, p):
                 if edit is None or edit == ("cone",):
