@@ -14,10 +14,11 @@ Both are exhaustive and therefore capped by graph order; pass an explicit
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Union
 
 from . import _engine
@@ -63,6 +64,22 @@ def validate_params(g: Graph, params: NkdParams) -> None:
         raise ParameterError(
             f"parity rule violated: order - n - d = {g.order - n - d} is odd"
         )
+
+
+@functools.cache
+def _valid_triples(order: int) -> tuple[NkdParams, ...]:
+    """Every (n, k, d) satisfying the size and parity rules for this order,
+    sorted by (n, k, d), built once per order; the frozen triples are
+    shared by every graph of that order."""
+    out = []
+    for n in range(max(order - 1, 0)):
+        for d in range(max(order - 1 - n, 0)):
+            if (order - n - d) % 2:
+                continue
+            for k in range((order - 2 - n - d) // 2 + 1):
+                out.append(NkdParams(n, k, d))
+    out.sort(key=NkdParams.as_tuple)
+    return tuple(out)
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -413,7 +430,7 @@ def _edge_bound(parent: Graph, method: str, args: tuple) -> list[list[int]]:
     (:func:`_bridge_plane`); every edge's rows are read from the parent's
     in one pass, the first time one is asked for (:func:`_deletion_bounds`)."""
     if method == "delete_edge":
-        return _engine.cached(parent, "deletion_bounds", lambda: _deletion_bounds(parent))[args]
+        return _deletion_rows(parent)[0][args]
     order = parent.order
     u, v = args
     planes, digits = _engine.nu_planes(parent), _engine.odd_digits(parent)
@@ -425,13 +442,20 @@ def _edge_bound(parent: Graph, method: str, args: tuple) -> list[list[int]]:
     return _plane_rows(order, host if host[-1] else host[:-1], digits)[0]
 
 
-def _deletion_bounds(g: Graph) -> dict[Edge, list[list[int]]]:
+def _deletion_rows(g: Graph) -> tuple[dict, dict]:
+    """:func:`_deletion_bounds` of g, cached on it."""
+    return _engine.cached(g, "deletion_bounds", lambda: _deletion_bounds(g))
+
+
+def _deletion_bounds(g: Graph) -> tuple[dict[Edge, list[list[int]]], dict]:
     """The G - uv bound of :func:`_edge_bound` for every edge uv of g: the
     rows over g's matching planes with the host's odd counts, g's plus 2
     on the bridge plane B.  At a fixed size s every odd count of V - S has
     the parity of order - s, so entry (k, s) is g's own plus 2 exactly when
     g's maximisers at (k, s) (:func:`_char_summary`) meet rev(B), and g's
-    own otherwise; rows without a rise are g's own lists.
+    own otherwise; rows without a rise are g's own lists.  Returns the
+    bounds by edge and, by entry (k, s), the positions in ``g.edges`` of
+    the edges whose bound rose there.
 
     The vertices are swept in increasing order, one sweep of joined planes
     each over g's own edges, and every edge uv with u < v is read from v's
@@ -442,7 +466,8 @@ def _deletion_bounds(g: Graph) -> dict[Edge, list[list[int]]]:
     # a maximiser S of V - S's count lines up with R = V - S when reversed
     tops = [_engine.reversed_plane(top, order) for top in g._cache["maximisers"]]
     sizes = _engine.size_planes(order)
-    parity, bounds = [0] * order, {}
+    position = {edge: i for i, edge in enumerate(g.edges)}
+    parity, bounds, risen = [0] * order, {}, {}
     for v in range(order):
         joined = _joined_planes(order, g.edges, v)
         parity[v] = reduce(operator.xor, joined)
@@ -456,9 +481,10 @@ def _deletion_bounds(g: Graph) -> dict[Edge, list[list[int]]]:
                     for s in range(2 * k, order + 1):
                         if rising & sizes[order - s]:
                             row[s] += 2
+                            risen.setdefault((k, s), []).append(position[u, v])
                 bound.append(row)
             bounds[u, v] = bound
-    return bounds
+    return bounds, risen
 
 
 def _bridge_plane(g: Graph, u: int, v: int, joined: list[int], parity) -> int:
@@ -499,6 +525,84 @@ def _rows_hold(rows: list[list[int]], n: int, k: int, d: int) -> bool:
     size n + 2k; past the last row no subset has a k-matching."""
     return max(rows[0][n:]) <= d - n and (
         k >= len(rows) or max(rows[k][n + 2 * k:]) <= d - n - 2 * k)
+
+
+def _holding_set(g: Graph, cap: int | None = None) -> frozenset:
+    """The valid triples of g's order (:func:`_valid_triples`) that g
+    satisfies, as (n, k, d) tuples, all decided in one pass: with M_k the
+    suffix maxima of row k, a triple holds when M_0[n] <= d - n and, unless
+    row k is past the last, M_k[n + 2k] <= d - n - 2k, as
+    :func:`_rows_hold` reads it.  Each verdict also fills g's ``("nkd", n,
+    k, d)`` cache entry, which :func:`_holds` reads.  The set is cached on
+    g; the decider cap is checked on every call."""
+    _check_cap(g.order, cap, DECIDER_CAP, "decider")
+
+    def build():
+        rows = _char_summary(g)
+        tops = [list(accumulate(reversed(row), max))[::-1] for row in rows]
+        holding, cache = set(), g._cache
+        for p in _valid_triples(g.order):
+            n, k, d = p.n, p.k, p.d
+            holds = cache["nkd", n, k, d] = tops[0][n] <= d - n and (
+                k >= len(tops) or tops[k][n + 2 * k] <= d - n - 2 * k)
+            if holds:
+                holding.add((n, k, d))
+        return frozenset(holding)
+
+    return _engine.cached(g, "holding", build)
+
+
+def _bound_candidates(g: Graph, n: int, k: int, d: int) -> int:
+    """The edges uv of g at which G - uv can fail (n, k, d), as a mask over
+    the positions in ``g.edges``; every other G - uv is proven to hold it
+    (:func:`_edited_holds`).
+
+    When g fails the target, every edge.  Otherwise G - uv's bound is g's
+    rows plus 2 at some entries (:func:`_deletion_bounds`).  Every entry
+    has the parity of the order, since odd(G[R]) = |R| (mod 2), and so do
+    both thresholds, d - n and d - n - 2k, so an entry at most its
+    threshold passes it by rising 2 only when it equals it.  The bound, and
+    with it the host, can fail only for the edges whose bound rose at such
+    a tight entry that the target reads; with none, no bound is built."""
+    if not _holds(g, n, k, d):
+        return (1 << len(g.edges)) - 1
+    order, rows = g.order, _char_summary(g)
+    tight = [(0, s) for s in range(n, order + 1) if rows[0][s] == d - n]
+    if k < len(rows):
+        tight += [(k, s) for s in range(n + 2 * k, order + 1) if rows[k][s] == d - n - 2 * k]
+    mask = 0
+    if tight:
+        risen = _deletion_rows(g)[1]
+        for entry in tight:
+            for i in risen.get(entry, ()):
+                mask |= 1 << i
+    return mask
+
+
+def _separator_candidates(g: Graph, params: NkdParams, variant: str) -> int:
+    """The edges uv of g for which :func:`_separator_witness` can find a
+    separator decomposition, as a mask over the positions in ``g.edges``:
+    none when order - 2 - s - d is odd or negative, s the separator's size,
+    and otherwise the edges whose forced set has at most s vertices
+    (:func:`_forced_fits`), the search's own two tests."""
+    size = _separator_sizes(params.n, params.k, variant)[1]
+    rest = g.order - 2 - size - params.d
+    return 0 if rest < 0 or rest % 2 else _forced_fits(g)[size]
+
+
+def _forced_fits(g: Graph) -> list[int]:
+    """``fits[s]``: the edges uv of g whose forced set, every other
+    neighbour of u and v, has at most s vertices, as a mask over the
+    positions in ``g.edges``, for s from 0 to the order; cached on g."""
+
+    def build():
+        fits = [0] * (g.order + 1)
+        rows = g.adjacency
+        for i, (u, v) in enumerate(g.edges):
+            fits[(rows[u] | rows[v]).bit_count() - 2] |= 1 << i
+        return list(accumulate(fits, operator.or_))
+
+    return _engine.cached(g, "forced_fits", build)
 
 
 def nkd_holds(g: Graph, params: NkdParams, cap: int | None = None) -> bool:

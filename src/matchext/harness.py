@@ -9,28 +9,37 @@ edge-deletion iff rules D1/D3, the separator-decomposition variant.
 (see :func:`_checker`) that adds one instance into the report it is given
 (or a fresh one-graph report); :mod:`decision` makes every check on a host.
 A violation is re-checked on freshly built graphs, and only then is its
-context named.  The census gives each rule one report per graph, decides
-the graph's own verdict once per triple for all rules, runs a checker only
-on the instances it applies to and counts the others from a table per
-order (:func:`check_graph`), and merges those reports in stream order.
+context named.  A checker visits only the pairs at which its check can
+disagree (:meth:`Rule.visited`).  The census gives each rule one report per
+graph, decides the graph's own verdicts on every triple in one pass for all
+rules, runs a checker only on the instances it applies to and counts the
+others from a table per order (:func:`check_graph`), and merges those
+reports in stream order.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
+import operator
 import os
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
 from typing import Callable
 
+from ._engine import bits_of
 from .decision import (
     NkdParams,
     WITNESS_SEARCH_CAP,
     _apply_edit,
+    _bound_candidates,
+    _check_cap,
     _edited_holds,
+    _holding_set,
     _require_cone_table,
     _scan_decomposition_witness,
+    _separator_candidates,
     _separator_witness,
+    _valid_triples,
     is_nkd_by_characterization,
     nkd_holds,
 )
@@ -92,18 +101,24 @@ class TheoremReport:
 # -- rule table --------------------------------------------------------------
 
 
+@functools.cache
+def _lowered_targets(n: int, k: int, d: int) -> tuple[tuple[int, int, int], ...]:
+    """The targets (n', k', d) of A3 at (n, k, d): n' <= n of the same
+    parity and k' <= k, in the order they are checked."""
+    return tuple((n2, k2, d) for n2 in range(n % 2, n + 1, 2) for k2 in range(k + 1))
+
+
 def _lowered(g: Graph, p: NkdParams):
-    for n2 in range(p.n % 2, p.n + 1, 2):
-        for k2 in range(p.k + 1):
-            yield None, NkdParams(n2, k2, p.d)
+    for target in _lowered_targets(p.n, p.k, p.d):
+        yield None, target
 
 
 def _shifted(g: Graph, p: NkdParams):
-    yield None, NkdParams(p.n + 2, p.k - 2, p.d)
+    yield None, (p.n + 2, p.k - 2, p.d)
 
 
 def _added_edges(g: Graph, p: NkdParams):
-    target = NkdParams(p.n, p.k - 1, p.d)
+    target = (p.n, p.k - 1, p.d)
     for u in range(g.order):
         for v in range(u + 1, g.order):
             if not g.has_edge(u, v):
@@ -111,23 +126,44 @@ def _added_edges(g: Graph, p: NkdParams):
 
 
 def _cone(g: Graph, p: NkdParams):
-    yield ("cone",), NkdParams(p.n + 1, p.k - 1, p.d)
+    yield ("cone",), (p.n + 1, p.k - 1, p.d)
 
 
-def _deleted_edges(dn: int, dk: int, degree_bound=None):
-    """Hosts G - uv for every edge uv, with target (n - dn, k - dk, d); with
-    ``degree_bound(p)`` only edges having an endpoint of at least that
-    degree are in the rule's scope."""
+@dataclass(frozen=True)
+class _Deletions:
+    """Hosts G - uv with target (n - dn, k - dk, d) for every edge uv in
+    the rule's scope: every edge, or with ``degree`` only the edges having
+    an endpoint of degree at least ``degree * k``."""
 
-    def hosts(g: Graph, p: NkdParams):
-        target = NkdParams(p.n - dn, p.k - dk, p.d)
+    dn: int
+    dk: int
+    degree: int = 0
+
+    def __call__(self, g: Graph, p: NkdParams):
+        target = self.target(p)
+        for i in bits_of(self.scope(g, p)):
+            yield ("delete_edge",) + g.edges[i], target
+
+    def target(self, p: NkdParams) -> tuple[int, int, int]:
+        return p.n - self.dn, p.k - self.dk, p.d
+
+    def scope(self, g: Graph, p: NkdParams) -> int:
+        """The edges in scope, as a mask over the positions in ``g.edges``."""
+        return _degree_scope(g)[self.degree * p.k]
+
+
+def _degree_scope(g: Graph) -> list[int]:
+    """``scope[b]``: the edges of g having an endpoint of degree at least
+    b, as a mask over the positions in ``g.edges``, for b from 0 to the
+    order; cached on g."""
+    scope = g._cache.get("degree_scope")
+    if scope is None:
+        by_degree = [0] * (g.order + 1)
         rows = g.adjacency
-        bound = 0 if degree_bound is None else degree_bound(p)
-        for u, v in g.edges:
-            if rows[u].bit_count() >= bound or rows[v].bit_count() >= bound:
-                yield ("delete_edge", u, v), target
-
-    return hosts
+        for i, (u, v) in enumerate(g.edges):
+            by_degree[max(rows[u].bit_count(), rows[v].bit_count())] |= 1 << i
+        scope = g._cache["degree_scope"] = list(accumulate(reversed(by_degree), operator.or_))[::-1]
+    return scope
 
 
 @dataclass(frozen=True)
@@ -136,12 +172,12 @@ class Rule:
 
     ``preconditions`` are (reason, test(p)) pairs on the triple, tried in
     order after ``bipartite``, which asks that the graph be bipartite
-    (:meth:`skip_reason`).  ``hosts(g, p)`` yields (edit,
-    target triple) for every graph the rule speaks about: edit None for g
-    itself, ``("add_edge", u, v)``, ``("delete_edge", u, v)`` or
-    ``("cone",)``.  Without a ``variant`` each host must satisfy its target;
-    with one ("d1" or "d3") the target fails on G - uv exactly when a
-    separator decomposition of that variant exists for the edge uv.
+    (:meth:`skip_reason`).  ``hosts(g, p)`` yields (edit, target) for every
+    graph the rule speaks about, the target a plain (n, k, d) tuple: edit
+    None for g itself, ``("add_edge", u, v)``, ``("delete_edge", u, v)``
+    or ``("cone",)``.  Without a ``variant`` each host must satisfy its
+    target; with one ("d1" or "d3") the target fails on G - uv exactly when
+    a separator decomposition of that variant exists for the edge uv.
     """
 
     doc: str
@@ -159,12 +195,37 @@ class Rule:
             return "not-bipartite"
         return next((reason for reason, test in self.preconditions if not test(p)), None)
 
+    def visited(self, g: Graph, p: NkdParams, cap: int | None):
+        """The pairs of ``hosts(g, p)`` at which the check can come out
+        true on either side, in order; at every other pair the host holds
+        its target and has no separator decomposition.  For an edge
+        deletion they are the edges in scope at which G - uv can fail the
+        target (:func:`decision._bound_candidates`) or, for a ``variant``, a
+        separator can exist (:func:`decision._separator_candidates`); with
+        a ``variant`` and an edge in scope the search cap is checked first,
+        whether or not an edge is left.  For A3 there are none when every
+        lowered target is in g's holding set
+        (:func:`decision._holding_set`).  Otherwise they are every pair."""
+        hosts = self.hosts
+        if isinstance(hosts, _Deletions):
+            target, scope = hosts.target(p), hosts.scope(g, p)
+            if self.variant is not None and scope:
+                _check_cap(g.order, cap, WITNESS_SEARCH_CAP, "decomposition search")
+            visit = _bound_candidates(g, *target)
+            if self.variant is not None:
+                visit |= _separator_candidates(g, p, self.variant)
+            edges = g.edges
+            return [(("delete_edge",) + edges[i], target) for i in bits_of(scope & visit)]
+        if hosts is _lowered and _holding_set(g, cap).issuperset(_lowered_targets(p.n, p.k, p.d)):
+            return ()
+        return hosts(g, p)
 
-def _context(rule: Rule, edit: tuple | None, target: NkdParams) -> str:
+
+def _context(rule: Rule, edit: tuple | None, target: tuple[int, int, int]) -> str:
     """The host's name in a violation report."""
     if edit is None:
         shift = "lowered" if rule.hosts is _lowered else "shifted"
-        return f"{shift} params ({target.n},{target.k},{target.d})"
+        return f"{shift} params ({target[0]},{target[1]},{target[2]})"
     if edit[0] == "cone":
         return "cone"
     return f"{'non-edge' if edit[0] == 'add_edge' else 'edge'} {edit[1]}-{edit[2]}"
@@ -187,9 +248,9 @@ RULES = {
     "A5": Rule("The d = 0 restriction of the edge-addition rule, reported separately.",
                (_D0, _N_ABOVE_D, _K1), _added_edges),
     "A6i": Rule("d = 0, n >= 2, k >= 1: deleting any edge keeps (n-2, k, 0).",
-                (_D0, _N2, _K1), _deleted_edges(2, 0)),
+                (_D0, _N2, _K1), _Deletions(2, 0)),
     "A6ii": Rule("d = 0, n >= 2, k >= 1: deleting any edge keeps (n, k-1, 0).",
-                 (_D0, _N2, _K1), _deleted_edges(0, 1)),
+                 (_D0, _N2, _K1), _Deletions(0, 1)),
     "B1": Rule("n > d, k >= 1: adding any missing edge keeps (n, k-1, d).",
                (_N_ABOVE_D, _K1), _added_edges),
     "B2": Rule("n > d, k >= 2: the same graph also satisfies (n+2, k-2, d).",
@@ -199,15 +260,15 @@ RULES = {
     "D1": Rule(
         "n >= 2: deleting an edge destroys (n-2, k, d) exactly when a separator "
         "decomposition for that edge exists (k-matching variant).",
-        (_N2,), _deleted_edges(2, 0), "d1",
+        (_N2,), _Deletions(2, 0), "d1",
     ),
     "D2": Rule("Bipartite, n >= 2: deleting any edge keeps (n-2, k, d).",
-               (_N2,), _deleted_edges(2, 0), bipartite=True),
+               (_N2,), _Deletions(2, 0), bipartite=True),
     "D3": Rule(
         "k >= 1: for edges with an endpoint of degree >= 2k, deleting the edge "
         "destroys (n, k-1, d) exactly when a separator decomposition exists "
         "((k-1)-matching variant).",
-        (_K1,), _deleted_edges(0, 1, degree_bound=lambda p: 2 * p.k), "d3",
+        (_K1,), _Deletions(0, 1, degree=2), "d3",
     ),
 }
 
@@ -216,49 +277,53 @@ THEOREM_IDS = tuple(RULES)
 
 def _checker(tid: str):
     """``check_<tid>``: add one instance of rule ``tid`` into ``report`` (a
-    fresh one-graph report when None) and return it.  ``holds`` is the
-    graph's own verdict on ``p``, as :func:`nkd_holds` decided it with this
-    ``cap``; when it is None it is decided here first, and that is the
-    instance's only validation of its triple, so an invalid triple raises
-    before any precondition runs.  An unmet precondition is still the
-    reason recorded, ahead of ``not-an-nkd-graph``.
+    fresh one-graph report when None) and return it.  Unless the caller
+    passes ``applicable``, having found that the preconditions pass and
+    that g holds ``p`` with this ``cap``, the graph's own verdict is
+    decided here first, and that is the instance's only validation of its
+    triple, so an invalid triple raises before any precondition runs; an
+    unmet precondition is still the reason recorded, ahead of
+    ``not-an-nkd-graph``.
 
     Every host target is valid when the triple is and the preconditions
     pass, and every edge comes from the graph, so hosts are decided as edits
     of g by :func:`_edited_holds` and searched by :func:`_separator_witness`
-    unvalidated; each checks its own caps.  A violation is decided again on
-    a host rebuilt by the same edit of a freshly built copy of g, which
-    carries no caches, and its separator side by the subset scan, so a
-    wrong separator search cannot confirm its own answer."""
+    unvalidated; each checks its own caps.  Only the pairs at which the
+    check can disagree are visited (:meth:`Rule.visited`).  A violation is
+    decided again on a host rebuilt by the same edit of a freshly built
+    copy of g, which carries no caches, and its separator side by the
+    subset scan, so a wrong separator search cannot confirm its own
+    answer."""
     rule = RULES[tid]
     variant = rule.variant
 
     def check(g: Graph, p: NkdParams, cap: int | None = None, graph_index: int = 0,
-              report: TheoremReport | None = None, holds: bool | None = None) -> TheoremReport:
+              report: TheoremReport | None = None, applicable: bool = False) -> TheoremReport:
         if report is None:
             report = TheoremReport(tid, graphs_examined=1)
-        if holds is None:
+        if not applicable:
             holds = nkd_holds(g, p, cap=cap)
-        reason = rule.skip_reason(p, rule.bipartite and is_bipartite(g))
-        if reason is None and not holds:
-            reason = "not-an-nkd-graph"
-        if reason is not None:
-            report.skip(reason)
-            return report
+            reason = rule.skip_reason(p, rule.bipartite and is_bipartite(g))
+            if reason is None and not holds:
+                reason = "not-an-nkd-graph"
+            if reason is not None:
+                report.skip(reason)
+                return report
         report.applicable += 1
-        for edit, target in rule.hosts(g, p):
-            fails = not _edited_holds(g, edit, target.n, target.k, target.d, cap)
+        for edit, target in rule.visited(g, p, cap):
+            fails = not _edited_holds(g, edit, *target, cap)
             witness = None if variant is None else _separator_witness(g, p, edit[1:], variant, cap)
             if fails != (witness is not None):
                 fresh = Graph(g.order, g.edges)
-                re_fails = not is_nkd_by_characterization(_apply_edit(fresh, edit), target, cap=cap).holds
+                re_fails = not is_nkd_by_characterization(
+                    _apply_edit(fresh, edit), NkdParams(*target), cap=cap).holds
                 re_witness = (None if variant is None
                               else _scan_decomposition_witness(fresh, p, edit[1:], variant, cap=cap))
                 if re_fails != fails or (re_witness is None) != (witness is None):
                     raise RuntimeError(f"non-reproducible violation at {_context(rule, edit, target)} "
                                        f"of graph {graph_index}: cached and fresh runs disagree")
                 if variant is None:
-                    detail = f"derived graph is not a ({target.n},{target.k},{target.d})-graph"
+                    detail = f"derived graph is not a ({target[0]},{target[1]},{target[2]})-graph"
                 else:
                     detail = ("deletion fails but no separator decomposition exists" if fails
                               else "separator decomposition exists but deletion succeeds")
@@ -291,21 +356,6 @@ def valid_triples(order: int) -> list[NkdParams]:
     return list(_valid_triples(order))
 
 
-@functools.cache
-def _valid_triples(order: int) -> tuple[NkdParams, ...]:
-    """:func:`valid_triples` as a tuple built once per order; the frozen
-    triples are shared by every graph of that order."""
-    out = []
-    for n in range(max(order - 1, 0)):
-        for d in range(max(order - 1 - n, 0)):
-            if (order - n - d) % 2:
-                continue
-            for k in range((order - 2 - n - d) // 2 + 1):
-                out.append(NkdParams(n, k, d))
-    out.sort(key=NkdParams.as_tuple)
-    return tuple(out)
-
-
 @dataclass
 class CensusResult:
     graphs: int
@@ -320,6 +370,25 @@ class CensusResult:
     @property
     def passed(self) -> bool:
         return self.total_violations == 0
+
+    def add(self, lineno: int, error: str | None, per_theorem: dict | None) -> None:
+        """Count one record's result (:func:`_census_worker`)."""
+        if error is not None:
+            self.decode_errors.append((lineno, error))
+        elif per_theorem is None:
+            self.skipped_over_max_order += 1
+        else:
+            self.graphs += 1
+            for tid, report in self.reports.items():
+                report.merge(per_theorem[tid])
+
+    def merge(self, other: "CensusResult") -> None:
+        """Add the result of the records that follow this one's."""
+        self.graphs += other.graphs
+        self.skipped_over_max_order += other.skipped_over_max_order
+        self.decode_errors.extend(other.decode_errors)
+        for tid, report in self.reports.items():
+            report.merge(other.reports[tid])
 
     def to_dict(self) -> dict:
         return {
@@ -364,9 +433,10 @@ def _theorem_ids(theorems) -> tuple[str, ...]:
 @functools.cache
 def _instances(theorems: tuple[str, ...], order: int, bipartite: bool):
     """The instance table of the rules ``theorems`` on the graphs of one
-    order that are ``bipartite`` or not: each valid triple with the ids of
-    the rules whose preconditions pass on it, and per rule the count of
-    each skip reason of the others.  Callers must not change it."""
+    order that are ``bipartite`` or not: each valid triple, as NkdParams
+    and as a tuple, with the ids of the rules whose preconditions pass on
+    it, and per rule the count of each skip reason of the others.  Callers
+    must not change it."""
     table, skips = [], {tid: {} for tid in theorems}
     for p in _valid_triples(order):
         passing = []
@@ -376,33 +446,37 @@ def _instances(theorems: tuple[str, ...], order: int, bipartite: bool):
                 passing.append(tid)
             else:
                 skips[tid][reason] = skips[tid].get(reason, 0) + 1
-        table.append((p, tuple(passing)))
+        table.append((p, p.as_tuple(), tuple(passing)))
     return tuple(table), skips
 
 
 def check_graph(g: Graph, theorems=THEOREM_IDS, cap: int | None = None,
                 graph_index: int = 0) -> dict[str, TheoremReport]:
     """Run the selected checkers over every valid triple of one graph, with
-    the reports :func:`check_<id>` would add up to.  The graph's own verdict
-    is decided once per triple.  A rule's checker runs only on the triples
-    whose preconditions pass, read from the order's instance table
-    (:func:`_instances`), and where the graph holds; the table's skip
-    counts are added in one step, and ``not-an-nkd-graph`` is counted for
-    the other passing triples.  The graph is two-coloured only when a
-    selected rule asks for a bipartite graph.  Unknown or repeated theorem
-    ids raise ParameterError."""
+    the reports :func:`check_<id>` would add up to.  The decider cap is
+    checked once, and the graph's own verdicts on every valid triple are
+    decided in one pass (:func:`decision._holding_set`).  A rule's checker
+    runs only on the triples whose preconditions pass, read from the
+    order's instance table (:func:`_instances`), and where the graph holds;
+    the table's skip counts are added in one step, and
+    ``not-an-nkd-graph`` is counted for the other passing triples.  The
+    graph is two-coloured only when a selected rule asks for a bipartite
+    graph.  Unknown or repeated theorem ids raise ParameterError."""
     theorems = _theorem_ids(theorems)
     colour = any(RULES[tid].bipartite for tid in theorems) and bool(_valid_triples(g.order))
     table, skips = _instances(theorems, g.order, colour and is_bipartite(g))
     out = {tid: TheoremReport(tid, graphs_examined=1, inapplicable=dict(skips[tid]))
            for tid in theorems}
-    for p, passing in table if out else ():
-        if nkd_holds(g, p, cap=cap):
-            for tid in passing:
-                CHECKERS[tid](g, p, cap=cap, graph_index=graph_index, report=out[tid], holds=True)
-        else:
-            for tid in passing:
-                out[tid].skip("not-an-nkd-graph")
+    if table and out:
+        holding = _holding_set(g, cap)
+        for p, triple, passing in table:
+            if triple in holding:
+                for tid in passing:
+                    CHECKERS[tid](g, p, cap=cap, graph_index=graph_index, report=out[tid],
+                                  applicable=True)
+            else:
+                for tid in passing:
+                    out[tid].skip("not-an-nkd-graph")
     return out
 
 
@@ -419,6 +493,24 @@ def _census_worker(item, theorems, max_order, cap):
     return lineno, None, check_graph(g, theorems, cap=cap, graph_index=index)
 
 
+#: consecutive records per task of a ``jobs > 1`` census
+POOL_CHUNK = 64
+
+
+def _census_records(items, theorems, max_order, cap) -> CensusResult:
+    """Check numbered records one at a time, as :func:`_census_worker`
+    does, and add each into one result: the whole stream of a serial
+    census, or one pool task's run of records."""
+    part = _census_result(theorems)
+    for item in items:
+        part.add(*_census_worker(item, theorems, max_order, cap))
+    return part
+
+
+def _census_result(theorems) -> CensusResult:
+    return CensusResult(0, 0, [], {tid: TheoremReport(tid) for tid in theorems})
+
+
 def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
                jobs: int = 1, allow_large: bool = False) -> CensusResult:
     """Run checkers over a graph6 stream.
@@ -430,9 +522,10 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
     numbers every line.  Decode failures become per-line diagnostics
     and processing continues.  Graphs larger than ``max_order`` are counted
     but not processed; the deciders' order cap is ``max_order + 1`` or
-    ``CENSUS_ORDER_CAP``, whichever is larger.  ``jobs > 1`` checks graphs
-    in a pool of worker processes; results are merged in input order either
-    way.  ``jobs`` must lie in 1..os.cpu_count(), and ``max_order`` must
+    ``CENSUS_ORDER_CAP``, whichever is larger.  ``jobs > 1`` checks runs
+    of ``POOL_CHUNK`` consecutive records in a pool of worker processes,
+    each merged there into one result; results are merged in input order
+    either way.  ``jobs`` must lie in 1..os.cpu_count(), and ``max_order`` must
     not be negative, nor so large that a graph's cone passes the table limit.
     """
     cpus = os.cpu_count() or 1
@@ -452,25 +545,17 @@ def run_census(lines, theorems=THEOREM_IDS, max_order: int | None = None,
             f"{CENSUS_ORDER_CAP}; pass allow_large to accept the cost"
         )
     _require_cone_table(max_order)
-    work = functools.partial(_census_worker, theorems=theorems, max_order=max_order,
-                             cap=max(max_order + 1, CENSUS_ORDER_CAP))
+    census = functools.partial(_census_records, theorems=theorems, max_order=max_order,
+                               cap=max(max_order + 1, CENSUS_ORDER_CAP))
     items = enumerate(graph6_records(lines))
+    if jobs == 1:
+        return census(items)
+    import multiprocessing  # only a pool needs it: a serial census starts faster
 
-    result = CensusResult(0, 0, [], {tid: TheoremReport(tid) for tid in theorems})
-    pool = None
-    if jobs > 1:
-        import multiprocessing  # only a pool needs it: a serial census starts faster
-
-        pool = multiprocessing.Pool(jobs)
-    with pool or contextlib.nullcontext():
-        results = pool.imap(work, items, chunksize=16) if pool else map(work, items)
-        for lineno, error, per_theorem in results:
-            if error is not None:
-                result.decode_errors.append((lineno, error))
-            elif per_theorem is None:
-                result.skipped_over_max_order += 1
-            else:
-                result.graphs += 1
-                for tid in theorems:
-                    result.reports[tid].merge(per_theorem[tid])
+    # each task is a run of consecutive records, cut from the stream as the
+    # pool asks for it, and comes back as one result
+    result = _census_result(theorems)
+    with multiprocessing.Pool(jobs) as pool:
+        for part in pool.imap(census, iter(lambda: list(islice(items, POOL_CHUNK)), [])):
+            result.merge(part)
     return result

@@ -5,6 +5,8 @@ from itertools import combinations
 from operator import xor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import matchext._engine as _engine
 from matchext import (
@@ -882,6 +884,37 @@ def test_deletion_bounds_keep_no_sweep_planes(order12_dense):
         assert all(("delete_edge",) + e in g._cache for e in g.edges)
         planes = len(_engine.nu_planes(g)) + len(_engine.odd_digits(g)) + len(g._cache["maximisers"])
         assert _cached_planes(g) == planes <= 2 * g.order, g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 10**6), st.floats(0.0, 1.0))
+def test_summary_entries_have_the_parity_of_the_order(order, seed, density):
+    # odd(G[R]) = |R| (mod 2), so (odd components of V - S) - |S| has the
+    # parity of the order; the deletion filter relies on it, and on the
+    # thresholds d - n and d - n - 2k of a valid triple sharing it
+    g = random_graph(random.Random(seed), order, density)
+    for row in _char_summary(g):
+        for entry in row:
+            assert entry == decision._NEG or (entry - order) % 2 == 0, (g, row)
+    for p in valid_triples(order):
+        assert (p.d - p.n - order) % 2 == 0
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
+def test_holding_set_equals_the_row_test_per_triple(fixture, request):
+    # one pass over suffix maxima against the row test of each triple, and
+    # the verdict cache it fills against a fresh copy's decider
+    for g in request.getfixturevalue(fixture):
+        g = Graph(g.order, g.edges)
+        rows = _char_summary(g)
+        triples = [p.as_tuple() for p in valid_triples(g.order)]
+        want = {t for t in triples if _rows_hold(rows, *t)}
+        assert decision._holding_set(g) == want, g
+        fresh = Graph(g.order, g.edges)
+        assert [g._cache[("nkd",) + t] for t in triples] == [
+            nkd_holds(fresh, NkdParams(*t)) for t in triples], g
+    with pytest.raises(SearchCapExceeded, match="decider"):
+        decision._holding_set(cycle(8), cap=7)
 
 
 @pytest.mark.parametrize("code, method, edge, triple, holds", [

@@ -12,6 +12,7 @@ import matchext._engine as _engine
 import matchext.decision as decision
 import matchext.harness as harness
 import matchext.structure as structure
+from matchext.decision import _edited_holds, _separator_witness
 from matchext import (
     CensusResult,
     Graph,
@@ -186,15 +187,19 @@ def test_check_a6_pair():
 
 def _force_order7_not_100(monkeypatch, recheck_too: bool) -> None:
     """Force the cached decider to say an order-7 graph is not a
-    (1,0,0)-graph, both for the graph's own verdict and for the hosts'
-    unvalidated one; with ``recheck_too`` the fresh recheck says so as
-    well."""
-    real, real_host = harness.nkd_holds, harness._edited_holds
+    (1,0,0)-graph: for the graph's own verdict, alone and in its holding
+    set, and for the hosts' unvalidated one; with ``recheck_too`` the fresh
+    recheck says so as well."""
+    real, real_host, real_holding = harness.nkd_holds, harness._edited_holds, harness._holding_set
 
     def lying(g, q, cap=None):
         if q == NkdParams(1, 0, 0) and g.order == 7:
             return False
         return real(g, q, cap=cap)
+
+    def lying_holding(g, cap=None):
+        held = real_holding(g, cap)
+        return held - {(1, 0, 0)} if g.order == 7 else held
 
     def lying_host(g, edit, n, k, d, cap=None):
         if (n, k, d) == (1, 0, 0) and g.order == 7 and edit is None:
@@ -205,6 +210,7 @@ def _force_order7_not_100(monkeypatch, recheck_too: bool) -> None:
         holds = False
 
     monkeypatch.setattr(harness, "nkd_holds", lying)
+    monkeypatch.setattr(harness, "_holding_set", lying_holding)
     monkeypatch.setattr(harness, "_edited_holds", lying_host)
     if recheck_too:
         monkeypatch.setattr(
@@ -273,10 +279,12 @@ def test_violation_names_the_graph_by_its_canonical_graph6(monkeypatch, line):
 def test_deletion_iff_recheck_and_reporting(monkeypatch):
     # K6 is a (2,1,0)-graph and every edge deletion keeps (0,1,0); force the
     # separator search, which the runner calls unvalidated, to claim a
-    # decomposition for every edge
+    # decomposition for every edge, and the runner to visit every edge,
+    # which it would otherwise skip: no edge's forced set fits a separator
     h = complete(6)
     fake = object()
     monkeypatch.setattr(harness, "_separator_witness", lambda *a, **k: fake)
+    monkeypatch.setattr(harness, "_bound_candidates", lambda g, *a: (1 << len(g.edges)) - 1)
     with pytest.raises(RuntimeError, match="at edge 0-1 of graph 0: cached and fresh"):
         check_D1(h, NkdParams(2, 1, 0))
     monkeypatch.setattr(harness, "_scan_decomposition_witness", lambda *a, **k: fake)
@@ -387,7 +395,7 @@ def test_check_graph_two_colours_a_graph_once(monkeypatch):
     assert reports["D2"].applicable > 0
 
 
-def test_check_graph_decides_the_own_verdict_once_per_triple(monkeypatch):
+def test_check_graph_decides_the_own_verdicts_in_one_pass(monkeypatch):
     real = harness.nkd_holds
     asked = []
 
@@ -397,12 +405,17 @@ def test_check_graph_decides_the_own_verdict_once_per_triple(monkeypatch):
         return real(h, q, cap=cap)
 
     monkeypatch.setattr(harness, "nkd_holds", counting)
-    # A3, A4 and B2 also ask about the same graph as a host, at other triples
-    theorems = [tid for tid in harness.THEOREM_IDS if tid not in ("A3", "A4", "B2")]
     for g in (complete(6), cycle(7), family_cliques_plus_edge(2, 1)):
         asked.clear()
-        reports = check_graph(g, theorems)
-        assert asked == valid_triples(g.order), write_graph6(g)
+        reports = check_graph(g)
+        # no verdict is asked for one triple at a time: the holding set
+        # decides them all and fills the cache that the hosts read
+        assert asked == [], write_graph6(g)
+        fresh = Graph(g.order, g.edges)
+        want = {p.as_tuple() for p in valid_triples(g.order) if nkd_holds(fresh, p)}
+        assert g._cache["holding"] == want, write_graph6(g)
+        assert all(g._cache[("nkd",) + p.as_tuple()] is (p.as_tuple() in want)
+                   for p in valid_triples(g.order)), write_graph6(g)
         assert sum(rep.applicable for rep in reports.values()) > 0
     # a checker called alone still decides, and so validates, its triple
     asked.clear()
@@ -446,7 +459,7 @@ def test_every_host_target_is_valid_on_its_host():
                         continue
                     for edit, target in rule.hosts(g, p):
                         host = g if edit is None else getattr(g, edit[0])(*edit[1:])
-                        validate_params(host, target)
+                        validate_params(host, NkdParams(*target))
                         assert host.order == g.order + (edit == ("cone",)), edit
                         if rule.variant is not None:
                             assert g.has_edge(*edit[1:]), edit
@@ -474,6 +487,76 @@ def test_edge_rules_refuse_at_the_search_cap_exactly_where_they_have_hosts():
     assert all(refused.values()) and all(reported.values())
     # an applicable D3 instance with no edge in scope: every degree is 2 < 2k
     assert check_D3(cycle(15), NkdParams(1, 2, 6)).applicable == 1
+
+
+@pytest.mark.parametrize("tid, p", [("D1", NkdParams(2, 0, 1)), ("D3", NkdParams(0, 1, 1))])
+def test_edge_rules_refuse_at_the_search_cap_even_with_every_edge_filtered(tid, p):
+    # on K15 these applicable instances visit no edge: no bound can rise past
+    # the target, and every forced set outgrows the separator.  The search
+    # cap still refuses them, as it did when every edge in scope was visited
+    g = complete(15)
+    rule = harness.RULES[tid]
+    assert nkd_holds(g, p) and rule.skip_reason(p, False) is None
+    assert rule.hosts.scope(g, p)
+    assert not rule.hosts.scope(g, p) & (decision._bound_candidates(g, *rule.hosts.target(p))
+                                         | decision._separator_candidates(g, p, rule.variant))
+    with pytest.raises(SearchCapExceeded, match="decomposition search"):
+        harness.CHECKERS[tid](g, p)
+    assert harness.CHECKERS[tid](g, p, cap=15).applicable == 1
+
+
+DELETION_RULES = [tid for tid, rule in harness.RULES.items()
+                  if isinstance(rule.hosts, harness._Deletions)]
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
+def test_deletion_rules_skip_only_edges_that_cannot_disagree(fixture, request):
+    # per edge, not per report: the fixtures hold no violations, so equal
+    # reports could not show an edge dropped that a violation needs.  On
+    # every applicable instance of an edge-deletion rule the runner visits
+    # the edges in scope that either side keeps, in order.  Each side is
+    # checked on its own, since where the rules hold the two agree: every
+    # edge the bound side drops gives a host that holds the target, every
+    # edge the separator side drops has no decomposition.  The bound side
+    # is also checked for every valid target, g failing it or not
+    assert sorted(DELETION_RULES) == ["A6i", "A6ii", "D1", "D2", "D3"]
+    dropped = {"bound": 0, "separator": 0}
+    for g in request.getfixturevalue(fixture):
+        g = Graph(g.order, g.edges)
+        bipartite = structure.is_bipartite(g)
+        every = (1 << len(g.edges)) - 1
+        for p in valid_triples(g.order):
+            if not nkd_holds(g, p):
+                continue
+            for tid in DELETION_RULES:
+                rule = harness.RULES[tid]
+                if rule.skip_reason(p, bipartite) is not None:
+                    continue
+                bound = decision._bound_candidates(g, *rule.hosts.target(p))
+                separator = (0 if rule.variant is None
+                             else decision._separator_candidates(g, p, rule.variant))
+                hosts = list(rule.hosts(g, p))
+                kept = [(edit, target) for edit, target in hosts
+                        if (bound | separator) >> g.edges.index(edit[1:]) & 1]
+                assert list(rule.visited(g, p, None)) == kept, (write_graph6(g), tid, p)
+                for edit, target in hosts:
+                    i = g.edges.index(edit[1:])
+                    if not bound >> i & 1:
+                        dropped["bound"] += 1
+                        assert _edited_holds(g, edit, *target), (write_graph6(g), tid, p, edit)
+                    if rule.variant is not None and not separator >> i & 1:
+                        dropped["separator"] += 1
+                        assert _separator_witness(g, p, edit[1:], rule.variant) is None, (
+                            write_graph6(g), tid, p, edit)
+        for t in valid_triples(g.order):
+            bound = decision._bound_candidates(g, *t.as_tuple())
+            if not nkd_holds(g, t):
+                assert bound == every, (write_graph6(g), t)
+            for i, (u, v) in enumerate(g.edges):
+                if not bound >> i & 1:
+                    assert _edited_holds(g, ("delete_edge", u, v), *t.as_tuple()), (
+                        write_graph6(g), t, (u, v))
+    assert all(dropped.values()), dropped
 
 
 def test_cone_host_keeps_the_decider_cap():
@@ -547,12 +630,14 @@ def _cone_keys(g):
 def test_derived_hosts_keep_no_tables_or_parent_links():
     graphs = [cycle(6), complete(5), family_cliques_plus_edge(2, 1),
               disconnected_sample(20, seed=7)[0]]
-    built = 0
+    asked = built = 0
     for g in graphs:
         check_graph(g)
+        # an edit is asked about only where a check can disagree, which on
+        # some of these graphs is nowhere
         edits = [key for key in g._cache if isinstance(key, tuple)
                  and key[:1] in (("add_edge",), ("delete_edge",), ("cone",))]
-        assert edits, g
+        asked += len(edits)
         hosts = [h for key, h in g._cache.items()
                  if isinstance(key, tuple) and key[0] == "host"]
         # every edit's rows were read from the parent's planes: the cone's
@@ -564,7 +649,7 @@ def test_derived_hosts_keep_no_tables_or_parent_links():
             assert not {"nu_table", "odd_table"} & set(h._cache)
             assert not any(value is g for value in h._cache.values())
         built += len(hosts)
-    assert built
+    assert asked and built
 
 
 def _inconclusive_edits(g):
@@ -584,7 +669,7 @@ def _inconclusive_edits(g):
                     continue
                 if edit not in bounds:
                     bounds[edit] = decision._edge_bound(parent, edit[0], edit[1:])
-                if not decision._rows_hold(bounds[edit], *target.as_tuple()):
+                if not decision._rows_hold(bounds[edit], *target):
                     out.add(edit)
     return out
 
@@ -751,6 +836,22 @@ def test_run_census_parallel_determinism():
     streamed = run_census((line for line in lines), theorems=("A3", "B1", "D1"), jobs=2)
     as_json = lambda r: json.dumps(r.to_dict(), sort_keys=True, indent=2)
     assert as_json(sequential) == as_json(parallel) == as_json(streamed)
+
+
+def test_run_census_merges_pool_chunks_in_stream_order():
+    # a stream of more than two chunks, with a decode error and a graph over
+    # the max order on each side of the first chunk boundary: each worker
+    # merges its own run of records, and the parent the runs in order
+    chunk = harness.POOL_CHUNK
+    graphs = [write_graph6(g) for g in connected_census(5)]
+    lines = [graphs[i % len(graphs)] for i in range(2 * chunk + 10)]
+    lines[chunk - 2], lines[chunk - 1] = write_graph6(complete(7)), "bad!"
+    lines[chunk], lines[chunk + 1] = "bad?", write_graph6(cycle(8))
+    serial = run_census(lines, theorems=("A3", "D1", "D3"), max_order=6)
+    parallel = run_census(iter(lines), theorems=("A3", "D1", "D3"), max_order=6, jobs=2)
+    assert serial.to_dict() == parallel.to_dict()
+    assert [line for line, _ in serial.decode_errors] == [chunk, chunk + 1]
+    assert (serial.graphs, serial.skipped_over_max_order) == (len(lines) - 4, 2)
 
 
 def test_run_census_reads_the_stream_lazily(monkeypatch):
