@@ -529,27 +529,11 @@ def _rows_hold(rows: list[list[int]], n: int, k: int, d: int) -> bool:
 
 def _holding_set(g: Graph, cap: int | None = None) -> frozenset:
     """The valid triples of g's order (:func:`_valid_triples`) that g
-    satisfies, as (n, k, d) tuples, all decided in one pass: with M_k the
-    suffix maxima of row k, a triple holds when M_0[n] <= d - n and, unless
-    row k is past the last, M_k[n + 2k] <= d - n - 2k, as
-    :func:`_rows_hold` reads it.  Each verdict also fills g's ``("nkd", n,
-    k, d)`` cache entry, which :func:`_holds` reads.  The set is cached on
-    g; the decider cap is checked on every call."""
+    satisfies, as (n, k, d) tuples, each decided by :func:`_holds`.  The
+    set is cached on g; the decider cap is checked on every call."""
     _check_cap(g.order, cap, DECIDER_CAP, "decider")
-
-    def build():
-        rows = _char_summary(g)
-        tops = [list(accumulate(reversed(row), max))[::-1] for row in rows]
-        holding, cache = set(), g._cache
-        for p in _valid_triples(g.order):
-            n, k, d = p.n, p.k, p.d
-            holds = cache["nkd", n, k, d] = tops[0][n] <= d - n and (
-                k >= len(tops) or tops[k][n + 2 * k] <= d - n - 2 * k)
-            if holds:
-                holding.add((n, k, d))
-        return frozenset(holding)
-
-    return _engine.cached(g, "holding", build)
+    return _engine.cached(g, "holding", lambda: frozenset(
+        p.as_tuple() for p in _valid_triples(g.order) if _holds(g, p.n, p.k, p.d)))
 
 
 def _bound_candidates(g: Graph, n: int, k: int, d: int) -> int:

@@ -101,16 +101,10 @@ class TheoremReport:
 # -- rule table --------------------------------------------------------------
 
 
-@functools.cache
-def _lowered_targets(n: int, k: int, d: int) -> tuple[tuple[int, int, int], ...]:
-    """The targets (n', k', d) of A3 at (n, k, d): n' <= n of the same
-    parity and k' <= k, in the order they are checked."""
-    return tuple((n2, k2, d) for n2 in range(n % 2, n + 1, 2) for k2 in range(k + 1))
-
-
 def _lowered(g: Graph, p: NkdParams):
-    for target in _lowered_targets(p.n, p.k, p.d):
-        yield None, target
+    for n2 in range(p.n % 2, p.n + 1, 2):
+        for k2 in range(p.k + 1):
+            yield None, (n2, k2, p.d)
 
 
 def _shifted(g: Graph, p: NkdParams):
@@ -203,21 +197,19 @@ class Rule:
         target (:func:`decision._bound_candidates`) or, for a ``variant``, a
         separator can exist (:func:`decision._separator_candidates`); with
         a ``variant`` and an edge in scope the search cap is checked first,
-        whether or not an edge is left.  For A3 there are none when every
-        lowered target is in g's holding set
-        (:func:`decision._holding_set`).  Otherwise they are every pair."""
+        whether or not an edge is left.  Otherwise they are every pair."""
         hosts = self.hosts
         if isinstance(hosts, _Deletions):
             target, scope = hosts.target(p), hosts.scope(g, p)
-            if self.variant is not None and scope:
+            if not scope:
+                return ()
+            if self.variant is not None:
                 _check_cap(g.order, cap, WITNESS_SEARCH_CAP, "decomposition search")
             visit = _bound_candidates(g, *target)
             if self.variant is not None:
                 visit |= _separator_candidates(g, p, self.variant)
             edges = g.edges
             return [(("delete_edge",) + edges[i], target) for i in bits_of(scope & visit)]
-        if hosts is _lowered and _holding_set(g, cap).issuperset(_lowered_targets(p.n, p.k, p.d)):
-            return ()
         return hosts(g, p)
 
 

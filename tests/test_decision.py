@@ -902,8 +902,8 @@ def test_summary_entries_have_the_parity_of_the_order(order, seed, density):
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
 def test_holding_set_equals_the_row_test_per_triple(fixture, request):
-    # one pass over suffix maxima against the row test of each triple, and
-    # the verdict cache it fills against a fresh copy's decider
+    # the holding set against the row test of each triple, and the verdict
+    # cache it fills against a fresh copy's decider
     for g in request.getfixturevalue(fixture):
         g = Graph(g.order, g.edges)
         rows = _char_summary(g)
