@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import reduce
 from itertools import accumulate, combinations
-from typing import Union
 
 from . import _engine
 from .errors import ParameterError, SearchCapExceeded
@@ -33,22 +32,28 @@ WITNESS_SEARCH_CAP = 14
 _NEG = -(1 << 30)
 
 
-@dataclass(frozen=True)
-class NkdParams:
+# The records here are named tuples: immutable, equal and hashed by value,
+# and cheap to define, which keeps the package's import fast.
+
+
+class NkdParams(namedtuple("NkdParams", "n k d")):
     """The triple (n, k, d): vertices deleted, matching size, allowed defect."""
 
-    n: int
-    k: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("n", "k", "d"):
-            value = getattr(self, name)
+    def __new__(cls, n: int, k: int, d: int):
+        for name, value in (("n", n), ("k", k), ("d", d)):
             if not isinstance(value, int) or value < 0:
                 raise ParameterError(f"{name} must be a non-negative integer, got {value!r}")
+        return tuple.__new__(cls, (n, k, d))
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through ``_make``, which would skip validation
+        return cls(*iterable)
 
     def as_tuple(self) -> tuple[int, int, int]:
-        return (self.n, self.k, self.d)
+        return tuple(self)
 
 
 def validate_params(g: Graph, params: NkdParams) -> None:
@@ -85,28 +90,22 @@ def _valid_triples(order: int) -> tuple[NkdParams, ...]:
 # -- witnesses ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NoKMatching:
+class NoKMatching(namedtuple("NoKMatching", "deleted")):
     """Deleting ``deleted`` (an n-set) leaves no k-matching."""
 
-    deleted: tuple[int, ...]
-
+    __slots__ = ()
     kind = "no-k-matching"
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "deleted": list(self.deleted)}
 
 
-@dataclass(frozen=True)
-class BlockedExtension:
+class BlockedExtension(namedtuple("BlockedExtension", "deleted matching blocker")):
     """After deleting ``deleted``, the k-matching ``matching`` cannot be
     extended to a defect-d matching; ``blocker`` is a vertex set T of the
     remainder with more than |T| + d odd components left after its removal."""
 
-    deleted: tuple[int, ...]
-    matching: tuple[Edge, ...]
-    blocker: tuple[int, ...]
-
+    __slots__ = ()
     kind = "blocked-extension"
 
     def to_dict(self) -> dict:
@@ -118,28 +117,23 @@ class BlockedExtension:
         }
 
 
-@dataclass(frozen=True)
-class CharacterizationViolation:
+class CharacterizationViolation(namedtuple("CharacterizationViolation", "condition subset")):
     """A subset breaking characterization condition "i" or "ii"."""
 
-    condition: str
-    subset: tuple[int, ...]
-
+    __slots__ = ()
     kind = "characterization-violation"
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "condition": self.condition, "subset": list(self.subset)}
 
 
-Witness = Union[NoKMatching, BlockedExtension, CharacterizationViolation]
+Witness = NoKMatching | BlockedExtension | CharacterizationViolation
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(namedtuple("Verdict", "holds witness", defaults=(None,))):
     """Decision result; carries a witness exactly when the property fails."""
 
-    holds: bool
-    witness: Witness | None = None
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {
@@ -723,8 +717,8 @@ def _verify_witness(g: Graph, params: NkdParams, witness: Witness) -> bool:
 # -- separator decompositions (edge-deletion rules) ---------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionWitness:
+class DecompositionWitness(namedtuple(
+        "DecompositionWitness", "separator edge variant odd_components separator_matching")):
     """A separator S of size n - 2 + 2k whose removal leaves d factor-critical
     odd components plus the bare distinguished edge.
 
@@ -734,11 +728,7 @@ class DecompositionWitness:
     All coordinates are in the host graph's vertex ids.
     """
 
-    separator: tuple[int, ...]
-    edge: Edge
-    variant: str
-    odd_components: tuple[tuple[int, ...], ...]
-    separator_matching: tuple[Edge, ...]
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {

@@ -22,9 +22,8 @@ from __future__ import annotations
 import functools
 import operator
 import os
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import accumulate, islice
-from typing import Callable
 
 from ._engine import bits_of
 from .decision import (
@@ -53,25 +52,30 @@ from .structure import is_bipartite
 CENSUS_ORDER_CAP = WITNESS_SEARCH_CAP
 
 
-@dataclass
-class Violation:
-    graph_index: int
-    graph6: str
-    params: tuple[int, int, int]
-    context: str
-    detail: str
+class Violation(namedtuple("Violation", "graph_index graph6 params context detail")):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {**vars(self), "params": list(self.params)}
+        return {**self._asdict(), "params": list(self.params)}
 
 
-@dataclass
 class TheoremReport:
-    theorem: str
-    graphs_examined: int = 0
-    applicable: int = 0
-    inapplicable: dict[str, int] = field(default_factory=dict)
-    violations: list[Violation] = field(default_factory=list)
+    """One rule's tally: instances examined and applicable, the reasons
+    the others were skipped, and the violations found."""
+
+    def __init__(self, theorem: str, graphs_examined: int = 0, applicable: int = 0,
+                 inapplicable: dict[str, int] | None = None,
+                 violations: list[Violation] | None = None):
+        self.theorem = theorem
+        self.graphs_examined = graphs_examined
+        self.applicable = applicable
+        self.inapplicable = {} if inapplicable is None else inapplicable
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def passed(self) -> bool:
@@ -123,15 +127,12 @@ def _cone(g: Graph, p: NkdParams):
     yield ("cone",), (p.n + 1, p.k - 1, p.d)
 
 
-@dataclass(frozen=True)
-class _Deletions:
+class _Deletions(namedtuple("_Deletions", "dn dk degree", defaults=(0,))):
     """Hosts G - uv with target (n - dn, k - dk, d) for every edge uv in
     the rule's scope: every edge, or with ``degree`` only the edges having
     an endpoint of degree at least ``degree * k``."""
 
-    dn: int
-    dk: int
-    degree: int = 0
+    __slots__ = ()
 
     def __call__(self, g: Graph, p: NkdParams):
         target = self.target(p)
@@ -160,8 +161,8 @@ def _degree_scope(g: Graph) -> list[int]:
     return scope
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(namedtuple("Rule", "doc preconditions hosts variant bipartite",
+                      defaults=(None, False))):
     """One recursive parameter rule.
 
     ``preconditions`` are (reason, test(p)) pairs on the triple, tried in
@@ -174,11 +175,7 @@ class Rule:
     a separator decomposition of that variant exists for the edge uv.
     """
 
-    doc: str
-    preconditions: tuple
-    hosts: Callable
-    variant: str | None = None
-    bipartite: bool = False
+    __slots__ = ()
 
     def skip_reason(self, p: NkdParams, bipartite: bool) -> str | None:
         """The first unmet precondition of triple ``p`` on a graph that is
@@ -348,12 +345,21 @@ def valid_triples(order: int) -> list[NkdParams]:
     return list(_valid_triples(order))
 
 
-@dataclass
 class CensusResult:
-    graphs: int
-    skipped_over_max_order: int
-    decode_errors: list[tuple[int, str]]
-    reports: dict[str, TheoremReport]
+    """A census's tally: graphs examined or skipped, the records that did
+    not decode, and one report per rule."""
+
+    def __init__(self, graphs: int, skipped_over_max_order: int,
+                 decode_errors: list[tuple[int, str]], reports: dict[str, TheoremReport]):
+        self.graphs = graphs
+        self.skipped_over_max_order = skipped_over_max_order
+        self.decode_errors = decode_errors
+        self.reports = reports
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
 
     @property
     def total_violations(self) -> int:

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections.abc import Iterator
 from itertools import combinations
-from typing import Iterator
 
 from . import _engine
 from .errors import ParameterError, SearchCapExceeded
@@ -16,17 +15,15 @@ from .graph import Edge, Graph
 SUBSET_SEARCH_CAP = 20
 
 
-@dataclass(frozen=True)
 class Matching:
-    """A set of pairwise vertex-disjoint edges.
+    """A set of pairwise vertex-disjoint edges; immutable, equal and hashed
+    by its edges.
 
     Edges are normalized to ``u < v`` and sorted.  Endpoints are read as
     integer ids (``operator.index``, as :class:`Graph` reads them) and
     disjointness is enforced at construction, both raising ValueError;
     membership in a host graph via :meth:`validate`.
     """
-
-    edges: tuple[Edge, ...]
 
     def __init__(self, edges=()):
         normalized = []
@@ -45,6 +42,23 @@ class Matching:
                 raise ValueError(f"edge ({u}, {v}) shares a vertex with another edge")
             seen.update((u, v))
         object.__setattr__(self, "edges", tuple(normalized))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: a Matching is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: a Matching is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.edges == other.edges
+
+    def __hash__(self) -> int:
+        return hash(self.edges)
+
+    def __repr__(self) -> str:
+        return f"Matching(edges={self.edges!r})"
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -350,16 +350,20 @@ def test_report_check_leaves_the_path_as_it_was(tmp_path):
 
 
 def test_serial_census_does_not_import_multiprocessing(tmp_path):
-    # only a pool needs multiprocessing, so a serial census does not pay
-    # for its import at start-up
+    # only a pool needs multiprocessing, and nothing needs dataclasses,
+    # inspect or typing, so a serial census pays for none of their imports
+    # at start-up; -S keeps site's own imports from hiding one
     stream = tmp_path / "empty.g6"
     stream.write_text("")
-    code = ("import sys; from matchext import cli; "
+    code = ("import sys; heavy = ('multiprocessing', 'dataclasses', 'inspect', 'typing'); "
+            "import matchext; print([m for m in heavy if m in sys.modules]); "
+            "from matchext import cli; "
             "assert cli.main(['census', '--input', sys.argv[1]]) == 0; "
-            "print('multiprocessing' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code, str(stream)], env=_matchext_env(),
+            "print([m for m in heavy if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(stream)], env=_matchext_env(),
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == "False"
+    lines = proc.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]"
 
 
 def test_edge_list_input_inferred(capsys, tmp_path):

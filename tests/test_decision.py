@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from functools import reduce
 from itertools import combinations
@@ -73,6 +72,10 @@ def test_nkd_params_rejects_negative():
         NkdParams(-1, 0, 0)
     with pytest.raises(ParameterError):
         NkdParams(0, 0, -2)
+    # a copy with one field changed is validated as well
+    assert NkdParams(1, 0, 0)._replace(k=2) == NkdParams(1, 2, 0)
+    with pytest.raises(ParameterError, match="k must be"):
+        NkdParams(1, 0, 0)._replace(k=-1)
 
 
 def test_validate_params_size_rule():
@@ -307,7 +310,7 @@ def test_decomposition_witness_with_a_foreign_variant_or_id_is_rejected(
     g, p = family(2, 1), NkdParams(*triple)
     w = find_decomposition_witness(g, p, (6, 7), variant)
     assert verify_decomposition_witness(g, p, w)
-    assert not verify_decomposition_witness(g, p, dataclasses.replace(w, **change))
+    assert not verify_decomposition_witness(g, p, w._replace(**change))
 
 
 def test_decider_equivalence_random_spot():
