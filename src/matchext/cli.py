@@ -12,7 +12,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 from . import families
 from .decision import (
@@ -57,7 +56,7 @@ def _open_input(path: str):
 def _pick_format(path: str, explicit: str | None) -> str:
     if explicit:
         return explicit
-    suffix = Path(path).suffix.lower()
+    suffix = os.path.splitext(path)[1].lower()
     fmt = _SUFFIXES.get(suffix)
     if fmt is None:
         raise ParameterError(
@@ -88,7 +87,8 @@ def _write_graph(g: Graph, path: str, fmt: str) -> None:
     if path == "-":
         sys.stdout.write(text)
     else:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            out.write(text)
 
 
 def _cap_from(args) -> int | None:
@@ -156,7 +156,7 @@ def cmd_family(args) -> int:
         note = f"distinguished edge: {e[0]} {e[1]}"
     else:
         raise ParameterError(f"unknown family {name!r}")
-    fmt = args.format or _SUFFIXES.get(Path(args.out).suffix.lower(), "g6")
+    fmt = args.format or _SUFFIXES.get(os.path.splitext(args.out)[1].lower(), "g6")
     _write_graph(g, args.out, fmt)
     print(f"{name}: {g.order} vertices, {len(g.edges)} edges -> {args.out}")
     print(note)
@@ -213,9 +213,8 @@ def cmd_census(args) -> int:
     for line in result.summary_lines():
         print(line)
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n"
-        )
+        with open(args.report, "w") as out:
+            out.write(json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n")
         print(f"report written to {args.report}")
     if result.total_violations:
         return EXIT_FAILS

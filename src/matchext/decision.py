@@ -300,8 +300,8 @@ def _char_summary(g: Graph) -> list[list[int]]:
 
     The rows are exact, read from the graph's own planes
     (:func:`_plane_rows`) without a 2^n list.  Their maximisers are cached
-    with them, as ``"maximisers"``, for the G - uv bounds
-    (:func:`_deletion_bounds`)."""
+    with them, as ``"maximisers"``, for the G - uv rises
+    (:func:`_deletion_rises`)."""
 
     def build():
         rows, g._cache["maximisers"] = _plane_rows(
@@ -346,13 +346,15 @@ def _plane_rows(order: int, planes: list[int],
 
 def _edited_holds(g: Graph, edit: tuple | None, n: int, k: int, d: int,
                   cap: int | None = None) -> bool:
-    """:func:`_holds` on the host ``edit`` of ``g`` (:func:`_apply_edit`).
-    Its rows, read from g's planes, exact for the cone and an upper bound
-    for G + uv and G - uv, are cached on g per edit and the verdict per
-    edit and target.  A bound never fails a target that holds, so only when
-    it does is the host built, once, cached on g and decided on its exact
-    rows.  Only the cone outgrows g, so on each call it alone is checked,
-    against the table limit that its rows meet first, then the decider cap."""
+    """:func:`_holds` on the host ``edit`` of ``g`` (:func:`_apply_edit`),
+    its verdict cached on g per edit and target.  The cone's rows and the
+    G + uv bound are read from g's planes and cached on g per edit; a G - uv
+    host holds the target when its edge is outside
+    :func:`_bound_candidates`, and keeps no rows.  A bound never fails a
+    target that holds, so only when it does, or the edge is a candidate,
+    is the host built, once, cached on g and decided on its exact rows.
+    Only the cone outgrows g, so on each call it alone is checked, against
+    the table limit that its rows meet first, then the decider cap."""
     if edit is None:
         return _holds(g, n, k, d)
     cone = edit[0] == "cone"
@@ -362,9 +364,12 @@ def _edited_holds(g: Graph, edit: tuple | None, n: int, k: int, d: int,
     key = (edit, n, k, d)
     holds = g._cache.get(key)
     if holds is None:
-        rows = _engine.cached(g, edit, lambda: _plane_rows(g.order + 1, *_cone_planes(g))[0]
-                              if cone else _edge_bound(g, edit[0], edit[1:]))
-        holds = _rows_hold(rows, n, k, d)
+        if edit[0] == "delete_edge":
+            holds = not _bound_candidates(g, n, k, d) >> g.edges.index(edit[1:]) & 1
+        else:
+            rows = _engine.cached(g, edit, lambda: _plane_rows(g.order + 1, *_cone_planes(g))[0]
+                                  if cone else _edge_bound(g, *edit[1:]))
+            holds = _rows_hold(rows, n, k, d)
         if not holds and not cone:
             host = _engine.cached(g, ("host",) + edit, lambda: _apply_edit(g, edit))
             holds = _rows_hold(_char_summary(host), n, k, d)
@@ -410,23 +415,14 @@ def _cone_planes(g: Graph) -> tuple[list[int], list[int]]:
     return cone if cone[-1] else cone[:-1], [odd[0] | even << (1 << n)] + odd[1:]
 
 
-def _edge_bound(parent: Graph, method: str, args: tuple) -> list[list[int]]:
-    """An upper bound, entry by entry, on the summary of G + uv or G - uv
-    (``getattr(parent, method)(*args)``), read from the parent's planes.
-    Adding uv lowers no ``nu`` and raises no odd count; deleting it does
-    the opposite, so each host keeps the parent's planes of the count that
-    cannot rise and gets exact planes of the other.
-
-    G + uv: ``nu[M]`` rises by one exactly when M holds u and v and
-    G[M - u - v] is as large, so with Z_x the masks lacking x the host's
-    matching planes are P'_j = P_j | (P_{j-1} & Z_u & Z_v) << (2^u + 2^v).
-    G - uv: the odd count of R rises by 2 exactly on the bridge plane B
-    (:func:`_bridge_plane`); every edge's rows are read from the parent's
-    in one pass, the first time one is asked for (:func:`_deletion_bounds`)."""
-    if method == "delete_edge":
-        return _deletion_rows(parent)[0][args]
+def _edge_bound(parent: Graph, u: int, v: int) -> list[list[int]]:
+    """An upper bound, entry by entry, on the summary of G + uv, read from
+    the parent's planes.  Adding uv lowers no ``nu`` and raises no odd
+    count, so the host keeps the parent's odd-count digits and gets exact
+    matching planes: ``nu[M]`` rises by one exactly when M holds u and v
+    and G[M - u - v] is as large, so with Z_x the masks lacking x the
+    host's planes are P'_j = P_j | (P_{j-1} & Z_u & Z_v) << (2^u + 2^v)."""
     order = parent.order
-    u, v = args
     planes, digits = _engine.nu_planes(parent), _engine.odd_digits(parent)
     everything = _engine.every_mask(order)
     holding = _engine.vertex_planes(order)
@@ -436,49 +432,40 @@ def _edge_bound(parent: Graph, method: str, args: tuple) -> list[list[int]]:
     return _plane_rows(order, host if host[-1] else host[:-1], digits)[0]
 
 
-def _deletion_rows(g: Graph) -> tuple[dict, dict]:
-    """:func:`_deletion_bounds` of g, cached on it."""
-    return _engine.cached(g, "deletion_bounds", lambda: _deletion_bounds(g))
-
-
-def _deletion_bounds(g: Graph) -> tuple[dict[Edge, list[list[int]]], dict]:
-    """The G - uv bound of :func:`_edge_bound` for every edge uv of g: the
-    rows over g's matching planes with the host's odd counts, g's plus 2
-    on the bridge plane B.  At a fixed size s every odd count of V - S has
-    the parity of order - s, so entry (k, s) is g's own plus 2 exactly when
+def _deletion_rises(g: Graph) -> dict[tuple[int, int], int]:
+    """Where G - uv's summary can exceed g's, for every edge uv of g: by
+    entry (k, s), the mask over the positions in ``g.edges`` of the edges
+    at which it can.  Deleting uv raises no ``nu`` and raises the odd count
+    of R by 2 exactly on the bridge plane B (:func:`_bridge_plane`), so
+    over g's matching planes G - uv's rows are an upper bound on its
+    summary.  At a fixed size s every odd count of V - S has the parity of
+    order - s, so that bound's entry (k, s) is g's own plus 2 exactly when
     g's maximisers at (k, s) (:func:`_char_summary`) meet rev(B), and g's
-    own otherwise; rows without a rise are g's own lists.  Returns the
-    bounds by edge and, by entry (k, s), the positions in ``g.edges`` of
-    the edges whose bound rose there.
+    own otherwise.
 
     The vertices are swept in increasing order, one sweep of joined planes
     each over g's own edges, and every edge uv with u < v is read from v's
     sweep, with u's parity plane kept from its own.  Only the parity planes
     outlive a sweep, so the pass holds O(order) planes and caches none."""
     order = g.order
-    rows = _char_summary(g)
+    _char_summary(g)  # caches the maximisers with the rows
     # a maximiser S of V - S's count lines up with R = V - S when reversed
     tops = [_engine.reversed_plane(top, order) for top in g._cache["maximisers"]]
     sizes = _engine.size_planes(order)
     position = {edge: i for i, edge in enumerate(g.edges)}
-    parity, bounds, risen = [0] * order, {}, {}
+    parity, rises = [0] * order, {}
     for v in range(order):
         joined = _joined_planes(order, g.edges, v)
         parity[v] = reduce(operator.xor, joined)
         for u in _engine.bits_of(g.adjacency[v] & ((1 << v) - 1)):
-            bridge = _bridge_plane(g, u, v, joined, parity)
-            bound = []
-            for k, (row, top) in enumerate(zip(rows, tops)):
+            bridge, bit = _bridge_plane(g, u, v, joined, parity), 1 << position[u, v]
+            for k, top in enumerate(tops):
                 rising = top & bridge
                 if rising:
-                    row = row.copy()
                     for s in range(2 * k, order + 1):
                         if rising & sizes[order - s]:
-                            row[s] += 2
-                            risen.setdefault((k, s), []).append(position[u, v])
-                bound.append(row)
-            bounds[u, v] = bound
-    return bounds, risen
+                            rises[k, s] = rises.get((k, s), 0) | bit
+    return rises
 
 
 def _bridge_plane(g: Graph, u: int, v: int, joined: list[int], parity) -> int:
@@ -521,27 +508,18 @@ def _rows_hold(rows: list[list[int]], n: int, k: int, d: int) -> bool:
         k >= len(rows) or max(rows[k][n + 2 * k:]) <= d - n - 2 * k)
 
 
-def _holding_set(g: Graph, cap: int | None = None) -> frozenset:
-    """The valid triples of g's order (:func:`_valid_triples`) that g
-    satisfies, as (n, k, d) tuples, each decided by :func:`_holds`.  The
-    set is cached on g; the decider cap is checked on every call."""
-    _check_cap(g.order, cap, DECIDER_CAP, "decider")
-    return _engine.cached(g, "holding", lambda: frozenset(
-        p.as_tuple() for p in _valid_triples(g.order) if _holds(g, p.n, p.k, p.d)))
-
-
 def _bound_candidates(g: Graph, n: int, k: int, d: int) -> int:
     """The edges uv of g at which G - uv can fail (n, k, d), as a mask over
-    the positions in ``g.edges``; every other G - uv is proven to hold it
+    the positions in ``g.edges``; every other G - uv holds it
     (:func:`_edited_holds`).
 
-    When g fails the target, every edge.  Otherwise G - uv's bound is g's
-    rows plus 2 at some entries (:func:`_deletion_bounds`).  Every entry
-    has the parity of the order, since odd(G[R]) = |R| (mod 2), and so do
-    both thresholds, d - n and d - n - 2k, so an entry at most its
-    threshold passes it by rising 2 only when it equals it.  The bound, and
-    with it the host, can fail only for the edges whose bound rose at such
-    a tight entry that the target reads; with none, no bound is built."""
+    When g fails the target, every edge.  Otherwise G - uv's summary is at
+    most g's rows plus 2 at the entries of :func:`_deletion_rises`.  Every
+    entry has the parity of the order, since odd(G[R]) = |R| (mod 2), and
+    so do both thresholds, d - n and d - n - 2k, so an entry at most its
+    threshold passes it by rising 2 only when it equals it.  The host can
+    fail only at the edges that rose at such a tight entry that the target
+    reads; with none, the rises are not built."""
     if not _holds(g, n, k, d):
         return (1 << len(g.edges)) - 1
     order, rows = g.order, _char_summary(g)
@@ -550,10 +528,9 @@ def _bound_candidates(g: Graph, n: int, k: int, d: int) -> int:
         tight += [(k, s) for s in range(n + 2 * k, order + 1) if rows[k][s] == d - n - 2 * k]
     mask = 0
     if tight:
-        risen = _deletion_rows(g)[1]
+        rises = _engine.cached(g, "deletion_rises", lambda: _deletion_rises(g))
         for entry in tight:
-            for i in risen.get(entry, ()):
-                mask |= 1 << i
+            mask |= rises.get(entry, 0)
     return mask
 
 

@@ -11,10 +11,10 @@ edge-deletion iff rules D1/D3, the separator-decomposition variant.
 A violation is re-checked on freshly built graphs, and only then is its
 context named.  A checker visits only the pairs at which its check can
 disagree (:meth:`Rule.visited`).  The census gives each rule one report per
-graph, decides the graph's own verdicts on every triple in one pass for all
-rules, runs a checker only on the instances it applies to and counts the
-others from a table per order (:func:`check_graph`), and merges those
-reports in stream order.
+graph, decides the graph's own verdict on each triple once for all rules,
+into the verdict cache that the hosts read too, runs a checker only on the
+instances it applies to and counts the others from a table per order
+(:func:`check_graph`), and merges those reports in stream order.
 """
 
 from __future__ import annotations
@@ -27,13 +27,14 @@ from itertools import accumulate, islice
 
 from ._engine import bits_of
 from .decision import (
+    DECIDER_CAP,
     NkdParams,
     WITNESS_SEARCH_CAP,
     _apply_edit,
     _bound_candidates,
     _check_cap,
     _edited_holds,
-    _holding_set,
+    _holds,
     _require_cone_table,
     _scan_decomposition_witness,
     _separator_candidates,
@@ -452,8 +453,8 @@ def check_graph(g: Graph, theorems=THEOREM_IDS, cap: int | None = None,
                 graph_index: int = 0) -> dict[str, TheoremReport]:
     """Run the selected checkers over every valid triple of one graph, with
     the reports :func:`check_<id>` would add up to.  The decider cap is
-    checked once, and the graph's own verdicts on every valid triple are
-    decided in one pass (:func:`decision._holding_set`).  A rule's checker
+    checked once, and the graph's own verdict on each valid triple is read
+    from its verdict cache (:func:`decision._holds`).  A rule's checker
     runs only on the triples whose preconditions pass, read from the
     order's instance table (:func:`_instances`), and where the graph holds;
     the table's skip counts are added in one step, and
@@ -466,9 +467,9 @@ def check_graph(g: Graph, theorems=THEOREM_IDS, cap: int | None = None,
     out = {tid: TheoremReport(tid, graphs_examined=1, inapplicable=dict(skips[tid]))
            for tid in theorems}
     if table and out:
-        holding = _holding_set(g, cap)
+        _check_cap(g.order, cap, DECIDER_CAP, "decider")
         for p, triple, passing in table:
-            if triple in holding:
+            if _holds(g, *triple):
                 for tid in passing:
                     CHECKERS[tid](g, p, cap=cap, graph_index=graph_index, report=out[tid],
                                   applicable=True)

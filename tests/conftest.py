@@ -10,6 +10,7 @@ import pytest
 
 import matchext._engine as _engine
 from matchext import Graph
+from matchext.decision import _NEG
 
 
 # -- small named graphs -------------------------------------------------------
@@ -91,6 +92,27 @@ def berge_blocker_by_flood_fill(g: Graph, mask: int, d: int):
             if _engine.odd_component_count(adj, rest) > size + d:
                 return subset
     return None
+
+
+# -- summary rows by a fold over the 2^n lists ---------------------------------
+
+def _fold_summary(matched, split):
+    """The summary rows by a fold over the 2^n lists, with the matching
+    numbers of graph ``matched`` and the odd counts of graph ``split`` on the
+    same vertices: each mask raises the entry at its matching number and
+    size, and each row is then raised to the rows of larger matchings.  The
+    oracle for the plane rows, which list nothing."""
+    nu, odd = _engine.nu_table(matched), _engine.odd_table(split)
+    full = _engine.full_mask(matched)
+    rows = [[_NEG] * (matched.order + 2) for _ in range(nu[full] + 1)]
+    # odd is indexed by mask, so reversed it lines up V - M with M
+    for mask, k, o in zip(range(full + 1), nu, reversed(odd)):
+        s = mask.bit_count()
+        if o - s > rows[k][s]:
+            rows[k][s] = o - s
+    for upper, row in zip(rows[:0:-1], rows[-2::-1]):
+        row[:] = map(max, row, upper)
+    return rows
 
 
 # -- censuses ------------------------------------------------------------------

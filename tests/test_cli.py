@@ -351,11 +351,12 @@ def test_report_check_leaves_the_path_as_it_was(tmp_path):
 
 def test_serial_census_does_not_import_multiprocessing(tmp_path):
     # only a pool needs multiprocessing, and nothing needs dataclasses,
-    # inspect or typing, so a serial census pays for none of their imports
-    # at start-up; -S keeps site's own imports from hiding one
+    # inspect, typing or pathlib, so a serial census pays for none of their
+    # imports at start-up; -S keeps site's own imports from hiding one
     stream = tmp_path / "empty.g6"
     stream.write_text("")
-    code = ("import sys; heavy = ('multiprocessing', 'dataclasses', 'inspect', 'typing'); "
+    code = ("import sys; heavy = ('multiprocessing', 'dataclasses', 'inspect', 'typing', "
+            "'pathlib'); "
             "import matchext; print([m for m in heavy if m in sys.modules]); "
             "from matchext import cli; "
             "assert cli.main(['census', '--input', sys.argv[1]]) == 0; "

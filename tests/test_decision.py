@@ -18,6 +18,7 @@ from matchext import (
     ParameterError,
     SearchCapExceeded,
     Verdict,
+    check_graph,
     family_blowup_bipartite,
     family_cliques_plus_edge,
     family_cliques_plus_edge_cone,
@@ -46,6 +47,7 @@ from matchext.decision import (
 from matchext.matching import _matchings_in_mask
 from matchext.structure import components, odd_count_after_deletion
 from conftest import (
+    _fold_summary,
     berge_blocker_by_flood_fill,
     complete,
     complete_bipartite,
@@ -527,25 +529,6 @@ def test_failing_check_builds_no_list(graph, triple, kind, condition):
     assert not {"nu_table", "odd_table"} & set(g._cache)
 
 
-def _fold_summary(matched, split):
-    """The summary rows by a fold over the 2^n lists, with the matching
-    numbers of graph ``matched`` and the odd counts of graph ``split`` on the
-    same vertices: each mask raises the entry at its matching number and
-    size, and each row is then raised to the rows of larger matchings.  The
-    oracle for the plane rows, which list nothing."""
-    nu, odd = _engine.nu_table(matched), _engine.odd_table(split)
-    full = _engine.full_mask(matched)
-    rows = [[decision._NEG] * (matched.order + 2) for _ in range(nu[full] + 1)]
-    # odd is indexed by mask, so reversed it lines up V - M with M
-    for mask, k, o in zip(range(full + 1), nu, reversed(odd)):
-        s = mask.bit_count()
-        if o - s > rows[k][s]:
-            rows[k][s] = o - s
-    for upper, row in zip(rows[:0:-1], rows[-2::-1]):
-        row[:] = map(max, row, upper)
-    return rows
-
-
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample", "order17"])
 def test_plane_rows_match_the_list_fold(fixture, request):
     # a base graph's rows from its own planes, the cone's from planes
@@ -786,9 +769,9 @@ def test_derived_summary_matches_fresh(fixture, request):
     # the host an edit builds against a fresh copy's summary, before any
     # decision; every valid triple decided as an edit of the parent against
     # the copy; then the cone's planes extended from the parent's, its
-    # rows equal to the copy's summary, and the upper bound of G + uv and
-    # G - uv above it.  A fresh parent per graph keeps the shared fixtures'
-    # caches free of hosts
+    # rows equal to the copy's summary, and the upper bound of G + uv above
+    # it.  A G - uv host keeps no rows: its edge's rise mask decides it.  A
+    # fresh parent per graph keeps the shared fixtures' caches free of hosts
     triples = {order: valid_triples(order) for order in range(1, 10)}
     for g in request.getfixturevalue(fixture):
         parent = Graph(g.order, g.edges)
@@ -801,6 +784,9 @@ def test_derived_summary_matches_fresh(fixture, request):
             decided = [_edited_holds(parent, edit, *p.as_tuple()) for p in params]
             want = [_rows_hold(_char_summary(fresh), *p.as_tuple()) for p in params]
             assert decided == want, (g, edit)
+            if edit[0] == "delete_edge":
+                assert edit not in parent._cache, (g, edit)
+                continue
             rows = parent._cache[edit]
             if edit[0] == "cone":
                 planes = _cone_planes(parent)
@@ -813,22 +799,37 @@ def test_derived_summary_matches_fresh(fixture, request):
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
 def test_edge_bound_matches_the_list_fold(fixture, request):
-    # adding uv lowers no matching number and raises no odd count, deleting
-    # it does the opposite, so the bound pairs the exact count of the one
-    # graph with the count of the other that cannot rise: the host's nu with
-    # the parent's odd for G + uv, the parent's nu with the host's odd for
-    # G - uv.  It must equal that fold, not only lie above the exact rows,
-    # and deciding the hosts must convert none of the parent's planes
+    # adding uv lowers no matching number and raises no odd count, so the
+    # bound pairs the host's nu with the parent's odd.  It must equal that
+    # fold, not only lie above the exact rows, and deciding the hosts must
+    # convert none of the parent's planes
     for g in request.getfixturevalue(fixture):
         parent, base = Graph(g.order, g.edges), Graph(g.order, g.edges)
         for edit in _edits(parent):
-            if edit[0] == "cone":
+            if edit[0] != "add_edge":
                 continue
             _edited_holds(parent, edit, *valid_triples(g.order)[-1].as_tuple())
-            rows = parent._cache[edit]
-            fresh = getattr(base, edit[0])(*edit[1:])
-            pair = (fresh, base) if edit[0] == "add_edge" else (base, fresh)
-            assert rows == _fold_summary(*pair), (g, edit)
+            assert parent._cache[edit] == _fold_summary(base.add_edge(*edit[1:]), base), (g, edit)
+        assert not {"nu_table", "odd_table"} & set(parent._cache), g
+
+
+@pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
+def test_deletion_rises_match_the_list_fold(fixture, request):
+    # deleting uv raises no matching number, so the parent's nu with the
+    # host's odd bounds G - uv's summary.  An edge's bit is set in the rise
+    # mask of entry (k, s) exactly when that fold exceeds the parent's
+    # entry there, and it never exceeds it by more than 2; reading the
+    # rises converts none of the parent's planes
+    for g in request.getfixturevalue(fixture):
+        parent, base = Graph(g.order, g.edges), Graph(g.order, g.edges)
+        rises, rows = decision._deletion_rises(parent), _char_summary(parent)
+        for i, edge in enumerate(parent.edges):
+            fold = _fold_summary(base, base.delete_edge(*edge))
+            assert len(fold) == len(rows), (g, edge)
+            for k, (fold_row, row) in enumerate(zip(fold, rows)):
+                for s, (entry, own) in enumerate(zip(fold_row, row)):
+                    rose = rises.get((k, s), 0) >> i & 1
+                    assert rose == (entry > own) and entry <= own + 2, (g, edge, k, s)
         assert not {"nu_table", "odd_table"} & set(parent._cache), g
 
 
@@ -874,17 +875,17 @@ def _cached_planes(g) -> int:
     return count(list(g._cache.values()))
 
 
-def test_deletion_bounds_keep_no_sweep_planes(order12_dense):
+def test_deletion_rises_keep_no_sweep_planes(order12_dense):
     # every G - uv host is decided from one sweep of joined planes per
     # vertex, and none of those planes stays cached on the graph: about
     # order^2 of them would, against its few matching, digit and maximiser
-    # planes
+    # planes.  The rise map beside them holds edge masks, not planes
     for g in order12_dense:
         g = Graph(g.order, g.edges)
-        target = valid_triples(g.order)[-1].as_tuple()
-        for u, v in g.edges:
-            _edited_holds(g, ("delete_edge", u, v), *target)
-        assert all(("delete_edge",) + e in g._cache for e in g.edges)
+        for p in valid_triples(g.order):
+            decision._bound_candidates(g, *p.as_tuple())
+        rises = g._cache.pop("deletion_rises")
+        assert all(0 < mask < 1 << len(g.edges) for mask in rises.values()), g
         planes = len(_engine.nu_planes(g)) + len(_engine.odd_digits(g)) + len(g._cache["maximisers"])
         assert _cached_planes(g) == planes <= 2 * g.order, g
 
@@ -904,20 +905,17 @@ def test_summary_entries_have_the_parity_of_the_order(order, seed, density):
 
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
-def test_holding_set_equals_the_row_test_per_triple(fixture, request):
-    # the holding set against the row test of each triple, and the verdict
-    # cache it fills against a fresh copy's decider
+def test_check_graph_caches_the_definition_verdict_per_triple(fixture, request):
+    # a census decides the graph's own verdict on every valid triple into
+    # the verdict cache that its hosts read; each cached verdict against
+    # the definition decider on a fresh copy.  A4 applies to few triples,
+    # so its checker adds little
     for g in request.getfixturevalue(fixture):
-        g = Graph(g.order, g.edges)
-        rows = _char_summary(g)
-        triples = [p.as_tuple() for p in valid_triples(g.order)]
-        want = {t for t in triples if _rows_hold(rows, *t)}
-        assert decision._holding_set(g) == want, g
-        fresh = Graph(g.order, g.edges)
-        assert [g._cache[("nkd",) + t] for t in triples] == [
-            nkd_holds(fresh, NkdParams(*t)) for t in triples], g
-    with pytest.raises(SearchCapExceeded, match="decider"):
-        decision._holding_set(cycle(8), cap=7)
+        g, fresh = Graph(g.order, g.edges), Graph(g.order, g.edges)
+        check_graph(g, theorems=("A4",))
+        params = valid_triples(g.order)
+        assert [g._cache[("nkd",) + p.as_tuple()] for p in params] == [
+            is_nkd_by_definition(fresh, p).holds for p in params], g
 
 
 @pytest.mark.parametrize("code, method, edge, triple, holds", [
@@ -926,23 +924,28 @@ def test_holding_set_equals_the_row_test_per_triple(fixture, request):
     ("C@", "delete_edge", (2, 3), (0, 0, 0), False),
 ])
 def test_inconclusive_bound_is_decided_exactly(code, method, edge, triple, holds):
-    # hosts whose upper bound does not show the target holding: the answer
-    # comes from the exact rows of a host built once for the purpose, and
-    # the host still keeps no lists
+    # hosts whose bound does not show the target holding, the G + uv rows
+    # or the G - uv edge's rise mask: the answer comes from the exact rows
+    # of a host built once for the purpose, and the host still keeps no
+    # lists.  A G - uv edit keeps no rows of its own
     g, edit = read_graph6(code), (method, *edge)
     p = NkdParams(*triple)
     assert ("host",) + edit not in g._cache
     fresh = getattr(Graph(g.order, g.edges), method)(*edge)
     assert is_nkd_by_definition(fresh, p).holds is holds
     assert _edited_holds(g, edit, *triple) is holds
-    bound = g._cache[edit]
-    assert bound == decision._edge_bound(g, method, edge)
-    assert not decision._rows_hold(bound, *triple)
     h = g._cache[("host",) + edit]
-    assert h._cache["char_summary"] == _char_summary(fresh) != bound
+    assert h._cache["char_summary"] == _char_summary(fresh)
     assert not {"nu_table", "odd_table"} & set(h._cache)
+    bound = g._cache.get(edit)
     assert _edited_holds(g, edit, *triple) is holds
-    assert g._cache[edit] is bound and g._cache[("host",) + edit] is h
+    assert g._cache[("host",) + edit] is h and g._cache.get(edit) is bound
+    if method == "add_edge":
+        assert bound == decision._edge_bound(g, *edge) != h._cache["char_summary"]
+        assert not decision._rows_hold(bound, *triple)
+    else:
+        assert bound is None
+        assert decision._bound_candidates(g, *triple) >> g.edges.index(edge) & 1
 
 
 def test_decomposition_witness_kv_lines():

@@ -12,7 +12,7 @@ import matchext._engine as _engine
 import matchext.decision as decision
 import matchext.harness as harness
 import matchext.structure as structure
-from matchext.decision import _edited_holds, _separator_witness
+from matchext.decision import _separator_witness
 from matchext import (
     CensusResult,
     Graph,
@@ -46,6 +46,7 @@ from matchext.harness import (
 )
 from conftest import (
     GRAPH6_LINE_KINDS,
+    _fold_summary,
     complete,
     complete_bipartite,
     connected_census,
@@ -187,19 +188,18 @@ def test_check_a6_pair():
 
 def _force_order7_not_100(monkeypatch, recheck_too: bool) -> None:
     """Force the cached decider to say an order-7 graph is not a
-    (1,0,0)-graph: for the graph's own verdict, alone and in its holding
-    set, and for the hosts' unvalidated one; with ``recheck_too`` the fresh
+    (1,0,0)-graph: for the graph's own verdict, validated and unvalidated,
+    and for the hosts' unvalidated one; with ``recheck_too`` the fresh
     recheck says so as well."""
-    real, real_host, real_holding = harness.nkd_holds, harness._edited_holds, harness._holding_set
+    real, real_host, real_holds = harness.nkd_holds, harness._edited_holds, harness._holds
 
     def lying(g, q, cap=None):
         if q == NkdParams(1, 0, 0) and g.order == 7:
             return False
         return real(g, q, cap=cap)
 
-    def lying_holding(g, cap=None):
-        held = real_holding(g, cap)
-        return held - {(1, 0, 0)} if g.order == 7 else held
+    def lying_holds(g, n, k, d):
+        return not ((n, k, d) == (1, 0, 0) and g.order == 7) and real_holds(g, n, k, d)
 
     def lying_host(g, edit, n, k, d, cap=None):
         if (n, k, d) == (1, 0, 0) and g.order == 7 and edit is None:
@@ -210,7 +210,7 @@ def _force_order7_not_100(monkeypatch, recheck_too: bool) -> None:
         holds = False
 
     monkeypatch.setattr(harness, "nkd_holds", lying)
-    monkeypatch.setattr(harness, "_holding_set", lying_holding)
+    monkeypatch.setattr(harness, "_holds", lying_holds)
     monkeypatch.setattr(harness, "_edited_holds", lying_host)
     if recheck_too:
         monkeypatch.setattr(
@@ -408,13 +408,11 @@ def test_check_graph_decides_the_own_verdicts_in_one_pass(monkeypatch):
     for g in (complete(6), cycle(7), family_cliques_plus_edge(2, 1)):
         asked.clear()
         reports = check_graph(g)
-        # no verdict is asked for one triple at a time: the holding set
-        # decides them all and fills the cache that the hosts read
+        # no verdict is validated one triple at a time: each is decided
+        # once into the verdict cache that the hosts read
         assert asked == [], write_graph6(g)
         fresh = Graph(g.order, g.edges)
-        want = {p.as_tuple() for p in valid_triples(g.order) if nkd_holds(fresh, p)}
-        assert g._cache["holding"] == want, write_graph6(g)
-        assert all(g._cache[("nkd",) + p.as_tuple()] is (p.as_tuple() in want)
+        assert all(g._cache[("nkd",) + p.as_tuple()] is nkd_holds(fresh, p)
                    for p in valid_triples(g.order)), write_graph6(g)
         assert sum(rep.applicable for rep in reports.values()) > 0
     # a checker called alone still decides, and so validates, its triple
@@ -523,6 +521,9 @@ def test_deletion_rules_skip_only_edges_that_cannot_disagree(fixture, request):
     dropped = {"bound": 0, "separator": 0}
     for g in request.getfixturevalue(fixture):
         g = Graph(g.order, g.edges)
+        # each dropped edge is decided on a host of a freshly built copy,
+        # not by the filter under test
+        fresh = {edge: Graph(g.order, g.edges).delete_edge(*edge) for edge in g.edges}
         bipartite = structure.is_bipartite(g)
         every = (1 << len(g.edges)) - 1
         for p in valid_triples(g.order):
@@ -543,7 +544,8 @@ def test_deletion_rules_skip_only_edges_that_cannot_disagree(fixture, request):
                     i = g.edges.index(edit[1:])
                     if not bound >> i & 1:
                         dropped["bound"] += 1
-                        assert _edited_holds(g, edit, *target), (write_graph6(g), tid, p, edit)
+                        assert nkd_holds(fresh[edit[1:]], NkdParams(*target)), (
+                            write_graph6(g), tid, p, edit)
                     if rule.variant is not None and not separator >> i & 1:
                         dropped["separator"] += 1
                         assert _separator_witness(g, p, edit[1:], rule.variant) is None, (
@@ -554,8 +556,7 @@ def test_deletion_rules_skip_only_edges_that_cannot_disagree(fixture, request):
                 assert bound == every, (write_graph6(g), t)
             for i, (u, v) in enumerate(g.edges):
                 if not bound >> i & 1:
-                    assert _edited_holds(g, ("delete_edge", u, v), *t.as_tuple()), (
-                        write_graph6(g), t, (u, v))
+                    assert nkd_holds(fresh[u, v], t), (write_graph6(g), t, (u, v))
     assert all(dropped.values()), dropped
 
 
@@ -636,15 +637,18 @@ def test_derived_hosts_keep_no_tables_or_parent_links():
     built = 0
     for g in graphs:
         check_graph(g)
-        edits = [key for key in g._cache if isinstance(key, tuple)
-                 and key[:1] in (("add_edge",), ("delete_edge",), ("cone",))]
+        # the edits decided, read from the keys of their cached verdicts
+        edits = {key[0] for key in g._cache if isinstance(key, tuple) and isinstance(key[0], tuple)}
         assert edits, g
         hosts = [h for key, h in g._cache.items()
                  if isinstance(key, tuple) and key[0] == "host"]
-        # every edit's rows were read from the parent's planes: the cone's
-        # exact summary, the edited hosts' bound; a host was built only to
+        # the rows of the cone and of G + uv were read from the parent's
+        # planes, the cone's exact summary and G + uv's bound; G - uv keeps
+        # none, its edge's rise mask decides it; a host was built only to
         # read its exact rows
-        assert all(g._cache[edit] and g._cache[edit][0] for edit in edits), g
+        for edit in edits:
+            rows = g._cache.get(edit)
+            assert rows is None if edit[0] == "delete_edge" else rows and rows[0], (g, edit)
         for h in hosts:
             assert h.order == g.order and "char_summary" in h._cache
             assert not {"nu_table", "odd_table"} & set(h._cache)
@@ -654,10 +658,11 @@ def test_derived_hosts_keep_no_tables_or_parent_links():
 
 
 def _inconclusive_edits(g):
-    """The edits of g whose bound, read afresh from g's planes, fails some
-    target that a rule asks about on an applicable instance: every G + uv
-    and G - uv whose host the runner must build.  The cone's rows are
-    exact, so no cone is among them."""
+    """The edits of g whose bound fails some target that a rule asks about
+    on an applicable instance: every G + uv and G - uv whose host the
+    runner must build.  The G + uv bound is read afresh from g's planes,
+    and the G - uv bound, g's nu with the host's odd counts, by the fold
+    over the lists.  The cone's rows are exact, so no cone is among them."""
     parent, bounds, out = Graph(g.order, g.edges), {}, set()
     for p in valid_triples(g.order):
         if not nkd_holds(parent, p):
@@ -669,7 +674,8 @@ def _inconclusive_edits(g):
                 if edit is None or edit == ("cone",):
                     continue
                 if edit not in bounds:
-                    bounds[edit] = decision._edge_bound(parent, edit[0], edit[1:])
+                    bounds[edit] = (decision._edge_bound(parent, *edit[1:]) if edit[0] == "add_edge"
+                                    else _fold_summary(parent, parent.delete_edge(*edit[1:])))
                 if not decision._rows_hold(bounds[edit], *target):
                     out.add(edit)
     return out
