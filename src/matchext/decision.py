@@ -304,17 +304,15 @@ def _char_summary(g: Graph) -> list[list[int]]:
     (:func:`_deletion_rises`)."""
 
     def build():
-        rows, g._cache["maximisers"] = _plane_rows(
-            g.order, _engine.nu_planes(g), _engine.odd_digits(g))
+        rows, g._cache["maximisers"] = _plane_rows(g)
         return rows
 
     return _engine.cached(g, "char_summary", build)
 
 
-def _plane_rows(order: int, planes: list[int],
-                digits: list[int]) -> tuple[list[list[int]], list[int]]:
-    """The summary rows from the matching planes P_1, P_2, ... and the odd
-    count's digit planes, and per row the plane of its maximisers.
+def _plane_rows(g: Graph) -> tuple[list[list[int]], list[int]]:
+    """The summary rows of g from its matching planes P_1, P_2, ... and its
+    odd count's digit planes, and per row the plane of its maximisers.
     Reversed, the digits give the odd count of V - S at S.  Row k at size s
     is the largest count over ``P_k & L_s``, with P_0 every mask and L_s
     the masks of size s, minus s; the maximum is taken bit-sliced, keeping
@@ -322,12 +320,13 @@ def _plane_rows(order: int, planes: list[int],
     Those left are the maximisers at (k, s); the size planes are disjoint,
     so one union per row keeps them all.  P_k holds every mask with a
     larger matching, so the rows need no fold."""
+    order = g.order
     # the reversed digit planes from the top down, each with its value
     weighted = [(_engine.reversed_plane(digit, order), 1 << t)
-                for t, digit in reversed(list(enumerate(digits)))]
+                for t, digit in reversed(list(enumerate(_engine.odd_digits(g))))]
     sizes = _engine.size_planes(order)
     rows, maximisers = [], []
-    for k, plane in enumerate([_engine.every_mask(order)] + planes):
+    for k, plane in enumerate([_engine.every_mask(order)] + _engine.nu_planes(g)):
         row, top = [_NEG] * (order + 2), 0
         for s in range(2 * k, order + 1):
             held = plane & sizes[s]
@@ -347,14 +346,25 @@ def _plane_rows(order: int, planes: list[int],
 def _edited_holds(g: Graph, edit: tuple | None, n: int, k: int, d: int,
                   cap: int | None = None) -> bool:
     """:func:`_holds` on the host ``edit`` of ``g`` (:func:`_apply_edit`),
-    its verdict cached on g per edit and target.  The cone's rows and the
-    G + uv bound are read from g's planes and cached on g per edit; a G - uv
-    host holds the target when its edge is outside
-    :func:`_bound_candidates`, and keeps no rows.  A bound never fails a
-    target that holds, so only when it does, or the edge is a candidate,
-    is the host built, once, cached on g and decided on its exact rows.
-    Only the cone outgrows g, so on each call it alone is checked, against
-    the table limit that its rows meet first, then the decider cap."""
+    its verdict cached on g per edit and target and read from g's own
+    summary rows, lifted by one row: ``lifted = [rows[0]] + rows``.
+
+    Adding uv raises no odd count, and a mask gains a matching edge only
+    through uv, so G + uv's row j is at most g's row j - 1 and its row 0 at
+    most g's row 0: ``lifted`` bounds G + uv's summary entry by entry.  In
+    the cone, a mask S + a (a the apex) leaves G - S, and ``nu[S + a]`` is
+    ``nu[S]`` plus one unless S is perfectly matchable, so over the masks
+    holding a the cone's row j at size s + 1 is g's row j - 1 at size s,
+    minus 1, for every s from 2j - 1 up: every size a threshold reads.  A
+    mask without the apex leaves one component, so by the parity rule it
+    breaks no threshold of a valid target, and the cone's verdict from
+    these rows is exact.  A G - uv host holds the target when its edge is
+    outside :func:`_bound_candidates`.  A bound never fails a target that
+    holds, so only when G + uv's does, or the edge is a candidate, is the
+    host built, once, cached on g and decided on its exact rows; no cone
+    is built.  The cone alone has an order above g's, so on each call it
+    alone is checked against the table limit and then the decider cap,
+    the policy on a host's order whether or not its planes are built."""
     if edit is None:
         return _holds(g, n, k, d)
     cone = edit[0] == "cone"
@@ -367,9 +377,11 @@ def _edited_holds(g: Graph, edit: tuple | None, n: int, k: int, d: int,
         if edit[0] == "delete_edge":
             holds = not _bound_candidates(g, n, k, d) >> g.edges.index(edit[1:]) & 1
         else:
-            rows = _engine.cached(g, edit, lambda: _plane_rows(g.order + 1, *_cone_planes(g))[0]
-                                  if cone else _edge_bound(g, *edit[1:]))
-            holds = _rows_hold(rows, n, k, d)
+            rows = _char_summary(g)
+            lifted = [rows[0]] + rows
+            if cone:
+                lifted = [[_NEG] + [x - 1 for x in row] for row in lifted]
+            holds = _rows_hold(lifted, n, k, d)
         if not holds and not cone:
             host = _engine.cached(g, ("host",) + edit, lambda: _apply_edit(g, edit))
             holds = _rows_hold(_char_summary(host), n, k, d)
@@ -389,47 +401,6 @@ def _apply_edit(g: Graph, edit: tuple | None) -> Graph:
     """The host ``edit`` of ``g``: g itself for None, else ``g.add_edge(u,
     v)``, ``g.delete_edge(u, v)`` or ``g.cone()`` for ``(method, *args)``."""
     return g if edit is None else getattr(g, edit[0])(*edit[1:])
-
-
-def _cone_planes(g: Graph) -> tuple[list[int], list[int]]:
-    """The matching planes and odd-count digits of the cone of ``g``,
-    extended exactly from g's, and not cached.  The apex a is vertex n, so
-    the masks holding it are the upper half.
-    ``nu[M + a]`` is ``nu[M]`` plus one when M is in E, the masks that are
-    not perfectly matchable, so P'_j = P_j | (P_j | P_{j-1} & E) << 2^n.
-    G[M + a] is connected, so its odd count is 1 exactly when |M| is even:
-    digit 0 gains the even-size masks in the upper half, and the other
-    digits are unchanged."""
-    n = g.order
-    planes, digits = _engine.nu_planes(g), _engine.odd_digits(g)
-    sizes = _engine.size_planes(n)
-    everything = _engine.every_mask(n)
-    perfect = sizes[0]
-    for j, plane in enumerate(planes, 1):
-        perfect |= plane & sizes[2 * j]
-    exposed = everything & ~perfect
-    cone = [p | (p | below & exposed) << (1 << n)
-            for p, below in zip(planes + [0], [everything] + planes)]
-    even = sum(sizes[::2])  # the size planes are disjoint
-    odd = digits or [0]
-    return cone if cone[-1] else cone[:-1], [odd[0] | even << (1 << n)] + odd[1:]
-
-
-def _edge_bound(parent: Graph, u: int, v: int) -> list[list[int]]:
-    """An upper bound, entry by entry, on the summary of G + uv, read from
-    the parent's planes.  Adding uv lowers no ``nu`` and raises no odd
-    count, so the host keeps the parent's odd-count digits and gets exact
-    matching planes: ``nu[M]`` rises by one exactly when M holds u and v
-    and G[M - u - v] is as large, so with Z_x the masks lacking x the
-    host's planes are P'_j = P_j | (P_{j-1} & Z_u & Z_v) << (2^u + 2^v)."""
-    order = parent.order
-    planes, digits = _engine.nu_planes(parent), _engine.odd_digits(parent)
-    everything = _engine.every_mask(order)
-    holding = _engine.vertex_planes(order)
-    free = everything & ~holding[u] & ~holding[v]
-    host = [p | (below & free) << ((1 << u) + (1 << v))
-            for p, below in zip(planes + [0], [everything] + planes)]
-    return _plane_rows(order, host if host[-1] else host[:-1], digits)[0]
 
 
 def _deletion_rises(g: Graph) -> dict[tuple[int, int], int]:

@@ -38,9 +38,7 @@ from matchext import (
 import matchext.decision as decision
 from matchext.decision import (
     _char_summary,
-    _cone_planes,
     _edited_holds,
-    _plane_rows,
     _rows_hold,
     _scan_decomposition_witness,
 )
@@ -531,14 +529,14 @@ def test_failing_check_builds_no_list(graph, triple, kind, condition):
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample", "order17"])
 def test_plane_rows_match_the_list_fold(fixture, request):
-    # a base graph's rows from its own planes, the cone's from planes
-    # extended from its parent's, each against the fold on a fresh copy
+    # a base graph's rows and its built cone's, each from its own planes,
+    # against the fold on a fresh copy; the cone of an order-17 graph has
+    # planes of several chunks
     for g in _plane_fixture(fixture, request):
         parent = Graph(g.order, g.edges)
-        for h, rows in ((parent, _char_summary(parent)),
-                        (parent.cone(), _plane_rows(parent.order + 1, *_cone_planes(parent))[0])):
+        for h in (parent, parent.cone()):
             fresh = Graph(h.order, h.edges)
-            assert rows == _fold_summary(fresh, fresh), (g, h.order)
+            assert _char_summary(h) == _fold_summary(fresh, fresh), (g, h.order)
 
 
 def _scan_violating_sets(g, n, k, d):
@@ -767,49 +765,55 @@ def _edits(g):
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
 def test_derived_summary_matches_fresh(fixture, request):
     # the host an edit builds against a fresh copy's summary, before any
-    # decision; every valid triple decided as an edit of the parent against
-    # the copy; then the cone's planes extended from the parent's, its
-    # rows equal to the copy's summary, and the upper bound of G + uv above
-    # it.  A G - uv host keeps no rows: its edge's rise mask decides it.  A
-    # fresh parent per graph keeps the shared fixtures' caches free of hosts
+    # decision; then every valid triple decided as an edit of the parent
+    # against the copy.  No edit keeps rows of its own: the cone and G + uv
+    # are read from the parent's lifted rows (``_lifted`` below), G - uv
+    # from its edge's rise mask.  A fresh parent per graph keeps the shared
+    # fixtures' caches free of hosts
     triples = {order: valid_triples(order) for order in range(1, 10)}
     for g in request.getfixturevalue(fixture):
         parent = Graph(g.order, g.edges)
         for edit in _edits(parent):
             h = getattr(parent, edit[0])(*edit[1:])
             fresh = Graph(h.order, h.edges)
-            exact = _char_summary(fresh)
-            assert _char_summary(h) == exact, (g, edit)
+            assert _char_summary(h) == _char_summary(fresh), (g, edit)
             params = triples[h.order]
             decided = [_edited_holds(parent, edit, *p.as_tuple()) for p in params]
             want = [_rows_hold(_char_summary(fresh), *p.as_tuple()) for p in params]
             assert decided == want, (g, edit)
-            if edit[0] == "delete_edge":
-                assert edit not in parent._cache, (g, edit)
-                continue
-            rows = parent._cache[edit]
-            if edit[0] == "cone":
-                planes = _cone_planes(parent)
-                assert planes == (_engine.nu_planes(fresh), _engine.odd_digits(fresh)), (g, edit)
-                assert rows == exact, (g, edit)
-            assert len(rows) >= len(exact), (g, edit)
-            for row, exact_row in zip(rows, exact):
-                assert all(map(int.__ge__, row, exact_row)), (g, edit)
+            assert edit not in parent._cache, (g, edit)
+
+
+def _lifted(g):
+    """g's summary rows lifted by one row, row 0 kept: entry by entry an
+    upper bound on the summary of every G + uv."""
+    rows = _char_summary(g)
+    return [rows[0]] + rows
 
 
 @pytest.mark.parametrize("fixture", ["census7", "disconnected1000", "order8_sample"])
-def test_edge_bound_matches_the_list_fold(fixture, request):
-    # adding uv lowers no matching number and raises no odd count, so the
-    # bound pairs the host's nu with the parent's odd.  It must equal that
-    # fold, not only lie above the exact rows, and deciding the hosts must
-    # convert none of the parent's planes
+def test_lifted_rows_bound_every_added_edge_and_decide_the_cone(fixture, request):
+    # adding uv raises no odd count and adds a matching edge only through
+    # uv, so every freshly built G + uv's summary lies at or below the
+    # parent's lifted rows.  The cone's verdict read from those rows equals
+    # the definition decider's on a freshly built cone, on every valid
+    # triple of its order, n = 0 included; no cone is built for it, and
+    # none of the parent's planes is converted into a list
     for g in request.getfixturevalue(fixture):
-        parent, base = Graph(g.order, g.edges), Graph(g.order, g.edges)
-        for edit in _edits(parent):
-            if edit[0] != "add_edge":
+        parent = Graph(g.order, g.edges)
+        lifted = _lifted(parent)
+        for u, v in combinations(range(g.order), 2):
+            if parent.has_edge(u, v):
                 continue
-            _edited_holds(parent, edit, *valid_triples(g.order)[-1].as_tuple())
-            assert parent._cache[edit] == _fold_summary(base.add_edge(*edit[1:]), base), (g, edit)
+            exact = _char_summary(Graph(g.order, g.edges).add_edge(u, v))
+            assert len(exact) <= len(lifted), (g, u, v)
+            for row, exact_row in zip(lifted, exact):
+                assert all(map(int.__ge__, row, exact_row)), (g, u, v)
+        cone = Graph(g.order, g.edges).cone()
+        for p in valid_triples(cone.order):
+            got = _edited_holds(parent, ("cone",), *p.as_tuple())
+            assert got is is_nkd_by_definition(cone, p).holds, (g, p)
+        assert ("host", "cone") not in parent._cache, g
         assert not {"nu_table", "odd_table"} & set(parent._cache), g
 
 
@@ -918,34 +922,35 @@ def test_check_graph_caches_the_definition_verdict_per_triple(fixture, request):
             is_nkd_by_definition(fresh, p).holds for p in params], g
 
 
-@pytest.mark.parametrize("code, method, edge, triple, holds", [
-    ("C?", "add_edge", (0, 1), (0, 0, 2), True),
-    ("Ck", "delete_edge", (0, 1), (0, 1, 0), True),
-    ("C@", "delete_edge", (2, 3), (0, 0, 0), False),
+@pytest.mark.parametrize("code, edit, triple, holds", [
+    ("C?", ("add_edge", 0, 1), (0, 0, 2), True),
+    ("Ck", ("delete_edge", 0, 1), (0, 1, 0), True),
+    ("C@", ("delete_edge", 2, 3), (0, 0, 0), False),
+    ("A?", ("cone",), (1, 0, 0), False),
 ])
-def test_inconclusive_bound_is_decided_exactly(code, method, edge, triple, holds):
-    # hosts whose bound does not show the target holding, the G + uv rows
-    # or the G - uv edge's rise mask: the answer comes from the exact rows
-    # of a host built once for the purpose, and the host still keeps no
-    # lists.  A G - uv edit keeps no rows of its own
-    g, edit = read_graph6(code), (method, *edge)
-    p = NkdParams(*triple)
-    assert ("host",) + edit not in g._cache
-    fresh = getattr(Graph(g.order, g.edges), method)(*edge)
-    assert is_nkd_by_definition(fresh, p).holds is holds
+def test_inconclusive_bound_is_decided_exactly(code, edit, triple, holds):
+    # edits whose bound does not show the target holding: G + uv's lifted
+    # rows, or the G - uv edge's rise mask.  The answer comes from the
+    # exact rows of a host built once for the purpose, which keeps no
+    # lists.  The cone's rows are exact, so its failing target is decided
+    # without a host.  No edit keeps rows of its own
+    g = read_graph6(code)
+    fresh = decision._apply_edit(Graph(g.order, g.edges), edit)
+    assert is_nkd_by_definition(fresh, NkdParams(*triple)).holds is holds
+    if edit[0] == "add_edge":
+        assert not _rows_hold(_lifted(g), *triple)
+    elif edit[0] == "delete_edge":
+        assert decision._bound_candidates(g, *triple) >> g.edges.index(edit[1:]) & 1
     assert _edited_holds(g, edit, *triple) is holds
+    assert edit not in g._cache
+    if edit[0] == "cone":
+        assert ("host",) + edit not in g._cache
+        return
     h = g._cache[("host",) + edit]
     assert h._cache["char_summary"] == _char_summary(fresh)
     assert not {"nu_table", "odd_table"} & set(h._cache)
-    bound = g._cache.get(edit)
     assert _edited_holds(g, edit, *triple) is holds
-    assert g._cache[("host",) + edit] is h and g._cache.get(edit) is bound
-    if method == "add_edge":
-        assert bound == decision._edge_bound(g, *edge) != h._cache["char_summary"]
-        assert not decision._rows_hold(bound, *triple)
-    else:
-        assert bound is None
-        assert decision._bound_candidates(g, *triple) >> g.edges.index(edge) & 1
+    assert g._cache[("host",) + edit] is h
 
 
 def test_decomposition_witness_kv_lines():

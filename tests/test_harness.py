@@ -622,8 +622,8 @@ def test_check_c1_builds_no_cone_when_inapplicable():
 
 
 def _cone_keys(g):
-    """The keys under which g caches anything about its cone: its rows,
-    its verdicts and a built cone."""
+    """The keys under which g caches anything about its cone: its
+    verdicts and a built cone."""
     return [key for key in g._cache
             if isinstance(key, tuple) and ("cone",) in (key, key[0], key[1:])]
 
@@ -642,13 +642,11 @@ def test_derived_hosts_keep_no_tables_or_parent_links():
         assert edits, g
         hosts = [h for key, h in g._cache.items()
                  if isinstance(key, tuple) and key[0] == "host"]
-        # the rows of the cone and of G + uv were read from the parent's
-        # planes, the cone's exact summary and G + uv's bound; G - uv keeps
-        # none, its edge's rise mask decides it; a host was built only to
-        # read its exact rows
+        # no edit keeps rows of its own: the cone and G + uv are read from
+        # the parent's rows, G - uv from its edge's rise mask; a host was
+        # built only to read its exact rows
         for edit in edits:
-            rows = g._cache.get(edit)
-            assert rows is None if edit[0] == "delete_edge" else rows and rows[0], (g, edit)
+            assert edit not in g._cache, (g, edit)
         for h in hosts:
             assert h.order == g.order and "char_summary" in h._cache
             assert not {"nu_table", "odd_table"} & set(h._cache)
@@ -660,10 +658,13 @@ def test_derived_hosts_keep_no_tables_or_parent_links():
 def _inconclusive_edits(g):
     """The edits of g whose bound fails some target that a rule asks about
     on an applicable instance: every G + uv and G - uv whose host the
-    runner must build.  The G + uv bound is read afresh from g's planes,
-    and the G - uv bound, g's nu with the host's odd counts, by the fold
-    over the lists.  The cone's rows are exact, so no cone is among them."""
+    runner must build.  The G + uv bound is g's own rows lifted by one row,
+    row 0 kept, and the G - uv bound, g's nu with the host's odd counts, is
+    the fold over the lists.  The cone's verdict from g's rows is exact, so
+    no cone is among them."""
     parent, bounds, out = Graph(g.order, g.edges), {}, set()
+    rows = decision._char_summary(parent)
+    lifted = [rows[0]] + rows
     for p in valid_triples(g.order):
         if not nkd_holds(parent, p):
             continue
@@ -674,7 +675,7 @@ def _inconclusive_edits(g):
                 if edit is None or edit == ("cone",):
                     continue
                 if edit not in bounds:
-                    bounds[edit] = (decision._edge_bound(parent, *edit[1:]) if edit[0] == "add_edge"
+                    bounds[edit] = (lifted if edit[0] == "add_edge"
                                     else _fold_summary(parent, parent.delete_edge(*edit[1:])))
                 if not decision._rows_hold(bounds[edit], *target):
                     out.add(edit)
@@ -723,8 +724,8 @@ def test_derived_summary_respects_table_limit(monkeypatch):
     with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
         harness._edited_holds(g, ("cone",), 2, 0, 0)
     assert not _cone_keys(g)
-    # in the runner the cone's rows meet the table limit before its
-    # decider cap, which a cap of G's order would also refuse
+    # in the runner the cone meets the table limit before its decider
+    # cap, which a cap of G's order would also refuse
     h = complete(5)
     with pytest.raises(SearchCapExceeded, match="limited to 5 vertices"):
         check_C1(h, NkdParams(1, 1, 0), cap=h.order)
